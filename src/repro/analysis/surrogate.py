@@ -263,6 +263,13 @@ def server_stream_slots(
     common bit rate.  Raises ``ValueError`` for scalable-rate layouts.
     """
     rates = layout.rate_matrix[layout.rate_matrix > 0]
+    return _fixed_rate_slots(cluster, rates, layout.num_servers)
+
+
+def _fixed_rate_slots(
+    cluster: ClusterSpec, rates: np.ndarray, num_servers: int
+) -> np.ndarray:
+    """Stream slots for a layout whose placed replicas have *rates*."""
     if rates.size == 0:
         raise ValueError("layout has no replicas; stream slots are undefined")
     rate = float(rates.max())
@@ -272,9 +279,9 @@ def server_stream_slots(
             "replicas); scalable-rate layouts are outside the Erlang model"
         )
     bandwidth = cluster.bandwidth_mbps
-    if layout.num_servers != bandwidth.shape[0]:
+    if num_servers != bandwidth.shape[0]:
         raise ValueError(
-            f"layout has {layout.num_servers} servers, cluster has "
+            f"layout has {num_servers} servers, cluster has "
             f"{bandwidth.shape[0]}"
         )
     return np.floor(bandwidth / rate + 1e-9).astype(np.int64)
@@ -283,63 +290,130 @@ def server_stream_slots(
 # ----------------------------------------------------------------------
 # Core evaluation
 # ----------------------------------------------------------------------
-def _pooled_components(presence: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Complete pooled components of one layout's ``(M, N)`` presence.
+# A batch of B layouts is one flat *holder list*: entry h is a placed
+# replica, ``video[h] = b*M + i`` and ``server[h] = b*N + k`` for video i
+# on server k of layout b.  Entries are sorted by video and, within a
+# video, by server (``np.nonzero`` order), so each placed video's holders
+# form one contiguous segment.  Every per-video or per-server sum of the
+# fixed point is a weighted ``np.bincount`` over these indices, which
+# costs O(replicas) rather than O(B * M * N).
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Start positions of the runs of equal values in sorted *keys*."""
+    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+
+
+def _segmented_exclusive_cumsum(
+    values: np.ndarray, starts: np.ndarray, segment: np.ndarray
+) -> np.ndarray:
+    """Exclusive prefix sums of *values* restarted at every segment start.
+
+    Subtracting each finished segment's total before the running sum
+    enters the next keeps the partial sums at segment scale, so rounding
+    does not grow with the batch; the residual drift is then removed
+    exactly by re-basing on each segment's first entry.
+    """
+    totals = np.add.reduceat(values, starts)
+    restarted = values.copy()
+    restarted[starts[1:]] -= totals[:-1]
+    exclusive = np.cumsum(restarted) - values
+    return exclusive - exclusive[starts][segment]
+
+
+def _complete_components(
+    video: np.ndarray,
+    server: np.ndarray,
+    video_starts: np.ndarray,
+    num_server_ids: int,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Complete pooled components of a holder list.
 
     A component is a maximal set of servers connected by shared videos;
     it is *complete* when every video of the component is replicated on
     every server of the component — then least-loaded dispatch with
     Erlang insensitivity makes the component one exact pooled
     ``M/G/C/C`` system (the structure the simulator-agreement tests in
-    ``tests/test_erlang.py`` validate).  Returns ``(video_mask,
-    server_mask)`` pairs for the complete components only.
+    ``tests/test_erlang.py`` validate).  Components are found by label
+    propagation over the holder edges: each server's label falls to the
+    smallest server id reachable through shared videos.  Returns the
+    sorted flat ``(video_ids, server_ids)`` of the complete components.
     """
-    num_videos, num_servers = presence.shape
-    # Server-server adjacency through shared videos.
-    adjacency = presence.T @ presence  # (N, N) co-hosting counts
-    unvisited = presence.any(axis=0)  # servers holding at least one video
-    complete: list[tuple[np.ndarray, np.ndarray]] = []
-    while unvisited.any():
-        seed = int(np.flatnonzero(unvisited)[0])
-        members = np.zeros(num_servers, dtype=bool)
-        members[seed] = True
-        while True:
-            grown = members | (adjacency[members].any(axis=0) & unvisited)
-            if np.array_equal(grown, members):
-                break
-            members = grown
-        unvisited &= ~members
-        videos = presence[:, members].any(axis=1)
-        if np.all(presence[np.ix_(videos, members)]):
-            complete.append((videos, members))
-    return complete
+    by_server = np.argsort(server, kind="stable")
+    server_starts = _run_starts(server[by_server])
+    hosting = server[by_server][server_starts]
+    video_sizes = np.diff(np.r_[video_starts, video.size])
+    label = np.arange(num_server_ids)
+    while True:
+        video_label = np.minimum.reduceat(label[server], video_starts)
+        holder_label = np.repeat(video_label, video_sizes)
+        fresh = label.copy()
+        fresh[hosting] = np.minimum.reduceat(
+            holder_label[by_server], server_starts
+        )
+        # Labels are server ids of the same component: jump through them.
+        fresh = fresh[fresh]
+        if np.array_equal(fresh, label):
+            break
+        label = fresh
+    holder_component = label[server]
+    video_component = holder_component[video_starts]
+    server_component = label[hosting]
+    holders = np.bincount(holder_component, minlength=num_server_ids)
+    videos = np.bincount(video_component, minlength=num_server_ids)
+    servers = np.bincount(server_component, minlength=num_server_ids)
+    complete = (holders > 0) & (holders == videos * servers)
+    if not complete.any():
+        return []
+    video_ids = video[video_starts]
+    video_order = np.argsort(video_component, kind="stable")
+    server_order = np.argsort(server_component, kind="stable")
+    video_bounds = np.r_[0, np.cumsum(videos)]
+    server_bounds = np.r_[0, np.cumsum(servers)]
+    return [
+        (
+            video_ids[video_order[video_bounds[c] : video_bounds[c + 1]]],
+            hosting[server_order[server_bounds[c] : server_bounds[c + 1]]],
+        )
+        for c in np.flatnonzero(complete)
+    ]
 
 
-def _evaluate_stacked(
-    presence: np.ndarray,
+def _evaluate_holders(
+    video: np.ndarray,
+    server: np.ndarray,
+    num_layouts: int,
     slots: np.ndarray,
     workload: SurrogateWorkload,
     dispatcher: str,
     spec: FixedPointSpec,
 ) -> BatchSurrogateResult:
-    """Evaluate stacked ``(B, M, N)`` presence tensors in one numpy program."""
-    presence = presence.astype(np.float64)
-    num_layouts, num_videos, num_servers = presence.shape
-    offered = workload.per_video_offered_erlangs  # (M,) a_i = lambda p_i D_i
-    replicas = presence.sum(axis=2)  # (B, M) r_i
+    """Evaluate a batch given as a flat holder list (see above)."""
+    num_videos = workload.num_videos
+    num_servers = slots.shape[0]
+    num_video_ids = num_layouts * num_videos
+    num_server_ids = num_layouts * num_servers
+
+    def per_video(weights: np.ndarray) -> np.ndarray:
+        return np.bincount(video, weights, minlength=num_video_ids)
+
+    def per_server(weights: np.ndarray) -> np.ndarray:
+        return np.bincount(server, weights, minlength=num_server_ids).reshape(
+            num_layouts, num_servers
+        )
+
+    offered = np.tile(workload.per_video_offered_erlangs, num_layouts)  # a_i
+    replicas = np.bincount(video, minlength=num_video_ids)  # r_i
     placed = replicas > 0
-    safe_replicas = np.maximum(replicas, 1.0)
+    safe_replicas = np.maximum(replicas, 1)
 
     if dispatcher in _STATIC_DISPATCHERS:
         # Degenerate fixed point: the w_i = p_i / r_i split fixes the
         # offered loads independent of blocking; one Erlang-B pass.
-        per_server_offered = np.einsum(
-            "bmn,bm->bn", presence, offered / safe_replicas
-        )
+        per_server_offered = per_server((offered / safe_replicas)[video])
         per_server_blocking = erlang_b(per_server_offered, slots)
         per_video_blocking = (
-            np.einsum("bmn,bn->bm", presence, per_server_blocking)
-            / safe_replicas
+            per_video(per_server_blocking.ravel()[server]) / safe_replicas
         )
         diagnostics = FixedPointDiagnostics(
             dispatcher=dispatcher,
@@ -349,50 +423,50 @@ def _evaluate_stacked(
             damping=spec.damping,
         )
     elif dispatcher in _OVERFLOW_DISPATCHERS:
+        video_starts = _run_starts(video)
+        if dispatcher in _ORDERED_DISPATCHERS:
+            segment = np.repeat(
+                np.arange(video_starts.size),
+                np.diff(np.r_[video_starts, video.size]),
+            )
+            holder_offered = offered[video]
         per_server_blocking = np.zeros((num_layouts, num_servers))
         iterations = 0
         residual = np.inf
         converged = False
         for iterations in range(1, spec.max_iterations + 1):
-            # Clamp away from 0 so log(0) * absent-replica 0 cannot form
-            # nan in the einsum; exp(presence @ -690) underflows to the
-            # correct 0 loss.
+            # Clamp away from 0 so a holder on a never-blocking server
+            # contributes log(1e-300) and its loss underflows to the
+            # correct 0.
             log_blocking = np.log(np.maximum(per_server_blocking, 1e-300))
+            holder_log = log_blocking.ravel()[server]
             if dispatcher in _ORDERED_DISPATCHERS:
                 # Ordered hunt: video i offers a_i to its lowest-id
                 # holder; server k only sees the overflow of i's earlier
                 # holders, prod_{j in S_i, j < k} L_j (exclusive cumsum
-                # of the holder-masked log blockings).
-                masked_log = presence * log_blocking[:, None, :]
+                # of the log blockings along the video's segment).
                 overflow = np.exp(
-                    np.cumsum(masked_log, axis=2) - masked_log
+                    _segmented_exclusive_cumsum(
+                        holder_log, video_starts, segment
+                    )
                 )
-                per_server_offered = np.einsum(
-                    "bmn,m->bn", presence * overflow, offered
-                )
+                per_server_offered = per_server(holder_offered * overflow)
             else:
                 # Per-video loss: every holder full (independence
                 # approximation).
-                loss = np.exp(
-                    np.einsum("bmn,bn->bm", presence, log_blocking)
-                )
-                loss = np.where(placed, loss, 1.0)
+                loss = np.where(placed, np.exp(per_video(holder_log)), 1.0)
                 # Proportional split: carried streams spread over holders
                 # by free probability; the offered load a server sees is
                 # carried / (1 - L_k), which cancels to this denominator
                 # form.
-                free = np.einsum(
-                    "bmn,bn->bm", presence, 1.0 - per_server_blocking
-                )
+                free = per_video(1.0 - per_server_blocking.ravel()[server])
                 demand = np.divide(
                     offered * (1.0 - loss),
                     free,
                     out=np.zeros_like(free),
                     where=free > 0,
                 )
-                per_server_offered = np.einsum(
-                    "bmn,bm->bn", presence, demand
-                )
+                per_server_offered = per_server(demand[video])
             fresh = erlang_b(per_server_offered, slots)
             step = spec.damping * (fresh - per_server_blocking)
             per_server_blocking = per_server_blocking + step
@@ -403,9 +477,7 @@ def _evaluate_stacked(
                 converged = True
                 break
         log_blocking = np.log(np.maximum(per_server_blocking, 1e-300))
-        per_video_blocking = np.exp(
-            np.einsum("bmn,bn->bm", presence, log_blocking)
-        )
+        per_video_blocking = np.exp(per_video(log_blocking.ravel()[server]))
         diagnostics = FixedPointDiagnostics(
             dispatcher=dispatcher,
             iterations=iterations,
@@ -425,21 +497,25 @@ def _evaluate_stacked(
         # Exact pooling override: complete components are genuinely one
         # M/G/C/C system under dynamic dispatch — replace the fixed-point
         # approximation with the exact pooled Erlang-B there.
-        bool_presence = presence > 0
-        for b in range(num_layouts):
-            for videos, servers in _pooled_components(bool_presence[b]):
-                pool_offered = float(offered[videos].sum())
-                pool_slots = int(slots[servers].sum())
-                pooled = erlang_b(pool_offered, pool_slots)
-                per_video_blocking[b, videos] = pooled
-                per_server_blocking[b, servers] = pooled
-                share = (
-                    slots[servers] / pool_slots
-                    if pool_slots > 0
-                    else np.full(int(servers.sum()), 0.0)
-                )
-                per_server_offered[b, servers] = pool_offered * share
+        flat_blocking = per_server_blocking.ravel()
+        flat_offered = per_server_offered.ravel()
+        tiled_slots = np.tile(slots, num_layouts)
+        for videos, servers in _complete_components(
+            video, server, video_starts, num_server_ids
+        ):
+            pool_offered = float(offered[videos].sum())
+            pool_slots = int(tiled_slots[servers].sum())
+            pooled = erlang_b(pool_offered, pool_slots)
+            per_video_blocking[videos] = pooled
+            flat_blocking[servers] = pooled
+            share = (
+                tiled_slots[servers] / pool_slots
+                if pool_slots > 0
+                else np.full(servers.size, 0.0)
+            )
+            flat_offered[servers] = pool_offered * share
 
+    per_video_blocking = per_video_blocking.reshape(num_layouts, num_videos)
     safe_slots = np.maximum(slots, 1)
     per_server_utilization = np.clip(
         per_server_offered * (1.0 - per_server_blocking) / safe_slots,
@@ -488,24 +564,42 @@ def evaluate_layouts(
     """Score a whole batch of layouts in one vectorized evaluation.
 
     All layouts must share the ``(M, N)`` shape and the common bit rate;
-    the stacked ``(B, M, N)`` presence tensor runs through a single
+    their replicas join one flat holder list that runs through a single
     fixed-point program, so screening an SA neighborhood or a parameter
-    grid costs one numpy call rather than ``B`` DES campaigns.
+    grid costs one numpy program, O(total replicas) per iteration, rather
+    than ``B`` DES campaigns.
     """
     if not layouts:
         raise ValueError("evaluate_layouts needs at least one layout")
     spec = fixed_point if fixed_point is not None else FixedPointSpec()
-    first = layouts[0]
-    slots = server_stream_slots(cluster, first)
-    shape = (first.num_videos, first.num_servers)
-    if workload.num_videos != shape[0]:
+    num_videos, num_servers = layouts[0].num_videos, layouts[0].num_servers
+    if workload.num_videos != num_videos:
         raise ValueError(
-            f"workload has {workload.num_videos} videos, layouts have {shape[0]}"
+            f"workload has {workload.num_videos} videos, "
+            f"layouts have {num_videos}"
         )
-    for layout in layouts[1:]:
+    slots = None
+    videos, servers = [], []
+    shape = (num_videos, num_servers)
+    for index, layout in enumerate(layouts):
         if (layout.num_videos, layout.num_servers) != shape:
             raise ValueError("all layouts must share one (videos, servers) shape")
-        if not np.array_equal(server_stream_slots(cluster, layout), slots):
+        rows, cols = np.nonzero(layout.rate_matrix)
+        layout_slots = _fixed_rate_slots(
+            cluster, layout.rate_matrix[rows, cols], num_servers
+        )
+        if slots is None:
+            slots = layout_slots
+        elif not np.array_equal(layout_slots, slots):
             raise ValueError("all layouts must share one common bit rate")
-    presence = np.stack([layout.presence for layout in layouts])
-    return _evaluate_stacked(presence, slots, workload, dispatcher, spec)
+        videos.append(rows + index * num_videos)
+        servers.append(cols + index * num_servers)
+    return _evaluate_holders(
+        np.concatenate(videos),
+        np.concatenate(servers),
+        len(layouts),
+        slots,
+        workload,
+        dispatcher,
+        spec,
+    )

@@ -13,11 +13,29 @@ weights) by ``max_i w_i - min_i w_i``; Theorem 3 notes the bound is
 non-increasing in the replication degree.  Both are exercised by the
 property-based tests.
 
+Each replica's choice is Alg. 1's ``argmin`` of the current loads over the
+feasible servers (unused this round, not holding the video, storage left),
+ties to the lower server id.  Within a round only the server that just
+received a replica changes load, and that server is then excluded for the
+rest of the round, so the servers still eligible keep the relative order
+they had when the round began.  The implementation therefore sorts the
+loads once per round (a stable sort, which reproduces ``argmin``'s
+lowest-index tie-break) and hands each replica the first server in that
+order that is unused and does not hold the video.  The layout is
+bit-identical to the per-replica ``argmin`` and a round costs one sort plus
+a short scan instead of ``O(N)`` array work per replica.
+
 When the strict one-per-server-per-round rule would strand a replica (every
 unused server already holds the video), the rule is relaxed for that replica
-to any feasible server with storage left — the same effect as the paper's
-"placed to the server with the second smallest load, and so on" tie-walk in
-Figure 3, extended to guarantee termination on adversarial instances.
+to the least-loaded server, on current loads, that lacks the video and has
+storage left — the same effect as the paper's "placed to the server with the
+second smallest load, and so on" tie-walk in Figure 3.  For valid inputs
+(``r_i <= N``, ``N * C`` at least the replica total) the relaxation is never
+needed: without it every server gets one replica per full round, so storage
+lasts for all ``ceil(R / N)`` rounds, and a video's contiguous run of
+``r_i <= N`` replicas spans at most two rounds, opening the second one, so
+an unused non-holder always remains.  It stays as the guard that keeps the
+placement total on any input.
 """
 
 from __future__ import annotations
@@ -50,41 +68,52 @@ def smallest_load_first_placement(
     """
     validate_placement_inputs(replication, capacity_replicas)
     num_servers = replication.num_servers
-    stream = sorted_replica_stream(replication)
-    weights = replication.weights()
+    stream = sorted_replica_stream(replication).tolist()
+    weights = replication.weights().tolist()
 
-    loads = np.zeros(num_servers, dtype=np.float64)
-    storage_left = np.full(num_servers, capacity_replicas, dtype=np.int64)
-    holds = np.zeros((replication.num_videos, num_servers), dtype=bool)
+    loads = [0.0] * num_servers
+    storage_left = [capacity_replicas] * num_servers
+    held_by: dict[int, set[int]] = {}
+    placed_videos: list[int] = []
+    placed_servers: list[int] = []
 
-    position = 0
-    total = stream.size
-    while position < total:
-        batch = stream[position : position + num_servers]
-        position += batch.size
-        used_this_round = np.zeros(num_servers, dtype=bool)
-        for video in batch:
-            video = int(video)
-            # Preferred rule: unused this round, not holding the video,
-            # storage available; smallest load first.
-            feasible = ~used_this_round & ~holds[video] & (storage_left > 0)
-            if not feasible.any():
-                # Relaxation: drop the one-per-round restriction.
-                feasible = ~holds[video] & (storage_left > 0)
-            if not feasible.any():
-                raise PlacementError(
-                    f"no feasible server for a replica of video {video}: "
-                    "all servers either hold the video or are out of storage"
-                )
-            masked = np.where(feasible, loads, np.inf)
-            server = int(np.argmin(masked))
-            holds[video, server] = True
-            used_this_round[server] = True
+    for start in range(0, len(stream), num_servers):
+        # Servers still open this round, smallest load first; the stable
+        # sort breaks load ties toward the lower server id like argmin.
+        order = np.argsort(np.array(loads), kind="stable").tolist()
+        open_servers = [server for server in order if storage_left[server] > 0]
+        for video in stream[start : start + num_servers]:
+            holders = held_by.setdefault(video, set())
+            for position, server in enumerate(open_servers):
+                if server not in holders:
+                    del open_servers[position]
+                    break
+            else:
+                server = _relaxed_choice(video, holders, loads, storage_left)
+            holders.add(server)
             storage_left[server] -= 1
             loads[server] += weights[video]
+            placed_videos.append(video)
+            placed_servers.append(server)
 
-    matrix = np.where(holds, bit_rate_mbps, 0.0)
+    matrix = np.zeros((replication.num_videos, num_servers))
+    matrix[placed_videos, placed_servers] = bit_rate_mbps
     return ReplicaLayout(rate_matrix=matrix)
+
+
+def _relaxed_choice(
+    video: int, holders: set[int], loads: list[float], storage_left: list[int]
+) -> int:
+    """Least-loaded server that lacks *video* and has storage left, used
+    or not this round (ties toward the lower server id)."""
+    feasible = np.array(storage_left) > 0
+    feasible[list(holders)] = False
+    if not feasible.any():
+        raise PlacementError(
+            f"no feasible server for a replica of video {video}: "
+            "all servers either hold the video or are out of storage"
+        )
+    return int(np.argmin(np.where(feasible, loads, np.inf)))
 
 
 class SmallestLoadFirstPlacer(Placer):

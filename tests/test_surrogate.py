@@ -3,7 +3,8 @@
 Covers the vectorized Erlang-B array path (bit-agreement with the scalar
 recurrence, edge conventions, the deprecation alias), the surrogate's
 model guarantees (monotonicity in arrival rate, pooled/partitioned
-bracketing, exact full-replication and single-copy limits), fixed-point
+bracketing, exact full-replication and single-copy limits), the
+holder-list kernel against a dense ``(B, M, N)`` einsum oracle, fixed-point
 convergence on every DES scenario in the fuzz corpus, and the pipeline's
 ``--surrogate`` screening mode end to end.
 """
@@ -23,12 +24,17 @@ from repro.analysis.erlang import (
     partitioned_blocking,
 )
 from repro.analysis.surrogate import (
+    BatchSurrogateResult,
+    FixedPointDiagnostics,
     FixedPointSpec,
     SurrogateWorkload,
+    _complete_components,
+    _run_starts,
     evaluate_layout,
     evaluate_layouts,
     server_stream_slots,
 )
+from repro.model.cluster import ServerSpec
 from repro.model.layout import ReplicaLayout
 from repro.pipeline import PipelineConfig, solve
 from repro.placement import smallest_load_first_placement
@@ -265,6 +271,298 @@ class TestSurrogateModel:
             FixedPointSpec(damping=1.5)
         with pytest.raises(ValueError, match="max_iterations"):
             FixedPointSpec(max_iterations=0)
+
+
+# ----------------------------------------------------------------------
+# Holder-list kernel vs the dense (B, M, N) formulation
+# ----------------------------------------------------------------------
+def _dense_pooled_components(presence):
+    """Complete pooled components of one ``(M, N)`` presence matrix, by
+    breadth-first growth over the server co-hosting adjacency."""
+    num_videos, num_servers = presence.shape
+    adjacency = presence.T @ presence
+    unvisited = presence.any(axis=0)
+    complete = []
+    while unvisited.any():
+        seed = int(np.flatnonzero(unvisited)[0])
+        members = np.zeros(num_servers, dtype=bool)
+        members[seed] = True
+        while True:
+            grown = members | (adjacency[members].any(axis=0) & unvisited)
+            if np.array_equal(grown, members):
+                break
+            members = grown
+        unvisited &= ~members
+        videos = presence[:, members].any(axis=1)
+        if np.all(presence[np.ix_(videos, members)]):
+            complete.append((videos, members))
+    return complete
+
+
+def _dense_oracle(presence, slots, workload, dispatcher, spec):
+    """The surrogate as einsums over a stacked ``(B, M, N)`` tensor.
+
+    Independent of the holder-list kernel: same model, dense algebra.
+    """
+    presence = presence.astype(np.float64)
+    num_layouts, num_videos, num_servers = presence.shape
+    offered = workload.per_video_offered_erlangs
+    replicas = presence.sum(axis=2)
+    placed = replicas > 0
+    safe_replicas = np.maximum(replicas, 1.0)
+    if dispatcher == "static_rr":
+        per_server_offered = np.einsum(
+            "bmn,bm->bn", presence, offered / safe_replicas
+        )
+        per_server_blocking = erlang_b(per_server_offered, slots)
+        per_video_blocking = (
+            np.einsum("bmn,bn->bm", presence, per_server_blocking)
+            / safe_replicas
+        )
+        iterations, residual, converged = 1, 0.0, True
+    else:
+        per_server_blocking = np.zeros((num_layouts, num_servers))
+        residual, converged = np.inf, False
+        for iterations in range(1, spec.max_iterations + 1):
+            log_blocking = np.log(np.maximum(per_server_blocking, 1e-300))
+            if dispatcher == "first_fit":
+                masked_log = presence * log_blocking[:, None, :]
+                overflow = np.exp(np.cumsum(masked_log, axis=2) - masked_log)
+                per_server_offered = np.einsum(
+                    "bmn,m->bn", presence * overflow, offered
+                )
+            else:
+                loss = np.exp(np.einsum("bmn,bn->bm", presence, log_blocking))
+                loss = np.where(placed, loss, 1.0)
+                free = np.einsum(
+                    "bmn,bn->bm", presence, 1.0 - per_server_blocking
+                )
+                demand = np.divide(
+                    offered * (1.0 - loss),
+                    free,
+                    out=np.zeros_like(free),
+                    where=free > 0,
+                )
+                per_server_offered = np.einsum("bmn,bm->bn", presence, demand)
+            fresh = erlang_b(per_server_offered, slots)
+            step = spec.damping * (fresh - per_server_blocking)
+            per_server_blocking = per_server_blocking + step
+            residual = float(np.abs(step).max())
+            if residual < spec.tolerance:
+                converged = True
+                break
+        log_blocking = np.log(np.maximum(per_server_blocking, 1e-300))
+        per_video_blocking = np.exp(
+            np.einsum("bmn,bn->bm", presence, log_blocking)
+        )
+    per_video_blocking = np.where(placed, per_video_blocking, 1.0)
+    if dispatcher != "static_rr":
+        for b in range(num_layouts):
+            for videos, servers in _dense_pooled_components(presence[b] > 0):
+                pool_offered = float(offered[videos].sum())
+                pool_slots = int(slots[servers].sum())
+                pooled = erlang_b(pool_offered, pool_slots)
+                per_video_blocking[b, videos] = pooled
+                per_server_blocking[b, servers] = pooled
+                share = (
+                    slots[servers] / pool_slots
+                    if pool_slots > 0
+                    else np.full(int(servers.sum()), 0.0)
+                )
+                per_server_offered[b, servers] = pool_offered * share
+    utilization = np.clip(
+        per_server_offered
+        * (1.0 - per_server_blocking)
+        / np.maximum(slots, 1),
+        0.0,
+        1.0,
+    )
+    return BatchSurrogateResult(
+        rejection_rates=per_video_blocking @ workload.popularity,
+        per_video_blocking=per_video_blocking,
+        per_server_offered_erlangs=per_server_offered,
+        per_server_blocking=per_server_blocking,
+        per_server_utilization=np.where(slots > 0, utilization, 0.0),
+        diagnostics=FixedPointDiagnostics(
+            dispatcher, iterations, residual, converged, spec.damping
+        ),
+    )
+
+
+def _random_presence(rng, kind, num_videos, num_servers):
+    """One ``(M, N)`` presence matrix of the named structure."""
+    if kind == "full":
+        return np.ones((num_videos, num_servers), dtype=bool)
+    presence = np.zeros((num_videos, num_servers), dtype=bool)
+    if kind == "single_copy":
+        hosts = rng.integers(num_servers, size=num_videos)
+        presence[np.arange(num_videos), hosts] = True
+    elif kind == "sparse":
+        presence = rng.random((num_videos, num_servers)) < 0.3
+    elif kind == "mixed":
+        # Split servers and videos into groups: some groups fully
+        # replicated (complete components), the rest sparse.
+        server_group = rng.integers(3, size=num_servers)
+        video_group = rng.integers(3, size=num_videos)
+        for group in range(3):
+            block = np.ix_(video_group == group, server_group == group)
+            if rng.random() < 0.5:
+                presence[block] = True
+            else:
+                presence[block] = rng.random(presence[block].shape) < 0.5
+    # Leave some videos unplaced, but never the whole layout.
+    presence[rng.random(num_videos) < 0.15] = False
+    if not presence.any():
+        presence[0, 0] = True
+    return presence
+
+
+def _random_batch(seed):
+    rng = np.random.default_rng(seed)
+    num_videos = int(rng.integers(4, 30))
+    num_servers = int(rng.integers(2, 8))
+    kinds = ("full", "single_copy", "sparse", "mixed")
+    presences = [
+        _random_presence(rng, str(kind), num_videos, num_servers)
+        for kind in rng.choice(kinds, size=int(rng.integers(1, 6)))
+    ]
+    # Some servers below one stream slot (bandwidth < bit rate).
+    bandwidth = rng.choice([2.0, 40.0, 80.0, 120.0], size=num_servers)
+    cluster = ClusterSpec(
+        ServerSpec(storage_gb=1.0e6, bandwidth_mbps=float(mbps))
+        for mbps in bandwidth
+    )
+    popularity = rng.dirichlet(np.ones(num_videos))
+    workload = SurrogateWorkload(
+        popularity=popularity,
+        arrival_rate_per_min=float(rng.uniform(0.5, 8.0)),
+        holding_time_min=rng.uniform(2.0, 12.0, size=num_videos),
+    )
+    layouts = [ReplicaLayout(np.where(p, 4.0, 0.0)) for p in presences]
+    return layouts, workload, cluster
+
+
+class TestHolderListMatchesDenseOracle:
+    @pytest.mark.parametrize("dispatcher", DISPATCHERS)
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_batches(self, dispatcher, seed):
+        layouts, workload, cluster = _random_batch(seed)
+        spec = FixedPointSpec()
+        got = evaluate_layouts(
+            layouts, workload, cluster, dispatcher=dispatcher
+        )
+        presence = np.stack([layout.presence for layout in layouts])
+        slots = server_stream_slots(cluster, layouts[0])
+        want = _dense_oracle(presence, slots, workload, dispatcher, spec)
+        np.testing.assert_allclose(
+            got.rejection_rates, want.rejection_rates, rtol=0, atol=1e-9
+        )
+        np.testing.assert_allclose(
+            got.per_video_blocking, want.per_video_blocking, rtol=0, atol=1e-9
+        )
+        np.testing.assert_allclose(
+            got.per_server_blocking,
+            want.per_server_blocking,
+            rtol=0,
+            atol=1e-9,
+        )
+        assert got.diagnostics.converged == want.diagnostics.converged
+        assert (
+            abs(got.diagnostics.iterations - want.diagnostics.iterations) <= 1
+        )
+
+    def test_cache_scale_batch(self):
+        # One theta of the E17 grid: four N=100 x 10k layouts, every
+        # dispatcher, including first_fit's long ordered-hunt segments.
+        from repro.experiments.cache_scale_sweep import (
+            build_strategy_layouts,
+            cache_scale_setup,
+        )
+
+        setup = cache_scale_setup()
+        _, layouts, _ = build_strategy_layouts(setup, 0.9, 1.2)
+        cluster = setup.cluster(1.2)
+        workload = SurrogateWorkload.from_setup(
+            setup, 0.9, 0.95 * setup.saturation_rate_per_min
+        )
+        presence = np.stack([layout.presence for layout in layouts])
+        slots = server_stream_slots(cluster, layouts[0])
+        for dispatcher in DISPATCHERS:
+            got = evaluate_layouts(
+                layouts, workload, cluster, dispatcher=dispatcher
+            )
+            want = _dense_oracle(
+                presence, slots, workload, dispatcher, FixedPointSpec()
+            )
+            np.testing.assert_allclose(
+                got.rejection_rates, want.rejection_rates, rtol=0, atol=1e-9
+            )
+            np.testing.assert_allclose(
+                got.per_video_blocking,
+                want.per_video_blocking,
+                rtol=0,
+                atol=1e-9,
+            )
+            assert got.diagnostics.converged == want.diagnostics.converged
+            assert (
+                abs(got.diagnostics.iterations - want.diagnostics.iterations)
+                <= 1
+            )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_complete_components_match_breadth_first(self, seed):
+        layouts, _, _ = _random_batch(seed)
+        num_videos, num_servers = layouts[0].num_videos, layouts[0].num_servers
+        videos, servers = [], []
+        for index, layout in enumerate(layouts):
+            rows, cols = np.nonzero(layout.rate_matrix)
+            videos.append(rows + index * num_videos)
+            servers.append(cols + index * num_servers)
+        video, server = np.concatenate(videos), np.concatenate(servers)
+        found = {
+            (tuple(v.tolist()), tuple(s.tolist()))
+            for v, s in _complete_components(
+                video, server, _run_starts(video), len(layouts) * num_servers
+            )
+        }
+        expected = {
+            (
+                tuple((np.flatnonzero(v) + b * num_videos).tolist()),
+                tuple((np.flatnonzero(s) + b * num_servers).tolist()),
+            )
+            for b, layout in enumerate(layouts)
+            for v, s in _dense_pooled_components(layout.presence)
+        }
+        assert found == expected
+
+    def test_batches_cover_every_structure(self):
+        # The random batches above must exercise what they claim to:
+        # unplaced videos, zero-slot servers, single-copy and full layouts,
+        # and layouts mixing complete with incomplete components.
+        seen = set()
+        for seed in range(40):
+            layouts, _, cluster = _random_batch(seed)
+            slots = server_stream_slots(cluster, layouts[0])
+            seen.add(("batch", len(layouts)))
+            if (slots == 0).any():
+                seen.add("zero_slots")
+            for layout in layouts:
+                presence = layout.presence
+                counts = presence.sum(axis=1)
+                if (counts == 0).any():
+                    seen.add("unplaced")
+                if presence.all():
+                    seen.add("full")
+                if counts.max() == 1:
+                    seen.add("single_copy")
+                connected = presence[:, presence.any(axis=0)]
+                complete = _dense_pooled_components(presence)
+                covered = sum(int(servers.sum()) for _, servers in complete)
+                if complete and covered < connected.shape[1]:
+                    seen.add("mixed_components")
+        assert {"zero_slots", "unplaced", "full", "single_copy"} <= seen
+        assert "mixed_components" in seen
+        assert {("batch", size) for size in range(1, 6)} <= seen
 
 
 # ----------------------------------------------------------------------
