@@ -13,7 +13,7 @@ Extensions layered on the same event machinery:
 * chaos & recovery: correlated/MTBF failure injection, failover dispatch
   with retry/backoff, and repair-driven re-replication (:mod:`.failures`);
 * deterministic K-way scale-out: struct-of-arrays request columns shared
-  by all three simulation loops (:mod:`.soa`) and shard/merge machinery
+  by the simulation loops (:mod:`.soa`) and shard/merge machinery
   whose merged results are bit-identical to an unsharded block run
   (:mod:`.sharding`);
 * a vectorized event-batch engine over the SoA columns (:mod:`.vector`)

@@ -15,8 +15,9 @@ fields; they differ only in *how* the event loop executes:
     The readable method-per-event loop (:class:`ReferenceClusterSimulator`)
     retained as the differential-testing oracle.
 ``audited``
-    The optimized loop with the standard in-situ invariant auditors
-    armed; raises on the first violation.
+    The optimized loop with the standard invariant auditors armed: they
+    check the run record the loop leaves behind and raise
+    :class:`repro.verify.InvariantViolation` on any violation.
 
 The registry is the single source of truth for ``engine=`` knobs in
 :class:`repro.pipeline.PipelineConfig`, the serving plane, the fuzzer

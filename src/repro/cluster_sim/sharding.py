@@ -304,7 +304,7 @@ def unsharded_equivalent(
     videos, the base rate matrix repeated block-diagonally — fed the
     time-sorted union of the shard traces with video ids offset by
     ``shard * M`` (and failure schedules offset by ``shard * N``).
-    Running it through any of the three lockstep loops and folding with
+    Running it through any lockstep engine and folding with
     :func:`fold_unsharded` must reproduce :func:`merge_results` exactly;
     :func:`repro.verify.shard_audit.audit_shard_merge` automates the
     comparison.

@@ -32,11 +32,17 @@ admission accounting are inlined instead of dispatching through
 :class:`~repro.cluster_sim.reference.ReferenceClusterSimulator`; the two
 are bit-identical field for field (see
 ``tests/test_simulator_equivalence.py``).
+
+The same loop also leaves a :class:`RunRecord` behind — one decision
+code per admitted arrival plus the rare-path crash/repair/retry records —
+from which :mod:`repro.verify.audit` rebuilds and checks every shadow
+account after the run, so auditing never needs a second copy of the loop.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
@@ -67,6 +73,52 @@ _REPLICATE = int(EventKind.REPLICATE)
 _EPS_MBPS = 1e-6
 
 _INF = float("inf")
+
+
+@dataclass(slots=True)
+class RunRecord:
+    """What one kernel run leaves behind for post-hoc consumers (the audit).
+
+    ``decisions`` has one slot per simulated arrival, written only on
+    admission: ``1 + k`` when server ``k`` served it from its own replica,
+    ``1 + N + k`` when it was redirected to server ``k`` over the
+    backbone; 0 means rejected or handed to a failover retry.  The rare
+    paths append ``(time, server, occupied Mb/s before the crash)`` per
+    crash, ``(time, server)`` per repair and ``(arrival index, time,
+    server)`` per retry admission.  ``last_event_time`` is a clock
+    watermark read outside the per-arrival path: the time of the last
+    event the closing drain applied, else of the last simulated arrival.
+    """
+
+    soa: RequestSoA
+    decisions: list[int]
+    crash_records: list[tuple[float, int, float]]
+    repair_records: list[tuple[float, int]]
+    retry_admissions: list[tuple[int, float, int]]
+    servers: list[StreamingServer]
+    backbones: "list[BackboneLink] | None"
+    last_event_time: float
+
+    def admissions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decode ``decisions``: arrival index, server and redirected flag
+        of every arrival-time admission, in arrival order.
+
+        Server ids come back in the smallest unsigned dtype holding the
+        codes, which keeps a grouping argsort on numpy's radix path.
+        """
+        num_servers = len(self.servers)
+        decisions = self.decisions
+        dec = np.fromiter(
+            decisions, np.min_scalar_type(2 * num_servers), len(decisions)
+        )
+        index = np.flatnonzero(dec)
+        codes = dec.take(index)
+        codes -= codes.dtype.type(1)
+        redirected = codes >= num_servers
+        servers = np.where(
+            redirected, codes - codes.dtype.type(num_servers), codes
+        )
+        return index, servers, redirected
 
 
 class VoDClusterSimulator:
@@ -220,11 +272,10 @@ class VoDClusterSimulator:
             copy completes.  Ignored without failures.
         auditors:
             Optional list of :class:`repro.verify.InvariantAuditor`
-            checkers.  When non-empty the run is delegated to the audited
-            loop (bit-identical results, in-situ invariant checking) and
-            any violation raises
-            :class:`repro.verify.InvariantViolation`.  ``None``/empty
-            keeps this plain hot loop — auditing off costs nothing.
+            checkers.  When non-empty the run's :class:`RunRecord` is
+            audited after the loop (bit-identical results: it is the same
+            loop) and any violation raises
+            :class:`repro.verify.InvariantViolation`.
         observer:
             Optional :class:`repro.observe.Observer` (duck-typed).  When
             set, per-server load/stream timelines are sampled every
@@ -235,25 +286,37 @@ class VoDClusterSimulator:
             bit-identical to an unobserved run; with ``observer=None`` the
             hot loop's only additions are two constant-false comparisons
             per arrival (see the ``observe`` block of
-            ``BENCH_hotpaths.json``).  Ignored on the audited path.
+            ``BENCH_hotpaths.json``).  Honoured with or without auditors.
         """
+        result, record = self._run(
+            trace,
+            horizon_min=horizon_min,
+            failures=failures,
+            failover_on_down=failover_on_down,
+            failover=failover,
+            rereplication=rereplication,
+            observer=observer,
+        )
         if auditors:
             # Lazy import: cluster_sim must stay importable without the
             # verify package (and vice versa).
-            from ..verify.audit import run_audited
+            from ..verify.audit import audit_record
 
-            result, report = run_audited(
-                self,
-                trace,
-                auditors=list(auditors),
-                horizon_min=horizon_min,
-                failures=failures,
-                failover_on_down=failover_on_down,
-                failover=failover,
-                rereplication=rereplication,
-            )
-            report.raise_if_failed()
-            return result
+            audit_record(self, result, record, list(auditors)).raise_if_failed()
+        return result
+
+    def _run(
+        self,
+        trace: RequestTrace,
+        *,
+        horizon_min: float | None = None,
+        failures: FailureSchedule | None = None,
+        failover_on_down: bool = False,
+        failover: FailoverPolicy | None = None,
+        rereplication: RereplicationPolicy | None = None,
+        observer=None,
+    ) -> "tuple[SimulationResult, RunRecord]":
+        """The event loop behind :meth:`run`: the result plus its record."""
         start_wall = time.perf_counter()
         if horizon_min is None:
             horizon_min = trace.duration_min if trace.num_requests else 1.0
@@ -299,6 +362,10 @@ class VoDClusterSimulator:
         backbone_by_server = [0.0] * len(servers)
         streams_dropped = 0
         events_processed = 0
+        # Rare-path records for the RunRecord (see its docstring).
+        crash_records: list = []
+        repair_records: list = []
+        retry_admissions: list = []
 
         # Chaos gating: with no (or an empty) failure schedule every new
         # mechanism is off and the hot loop below is byte-for-byte the
@@ -354,6 +421,7 @@ class VoDClusterSimulator:
                 k = failure.server
                 num_failures += 1
                 down_since[k] = event[0]
+                crash_records.append((event[0], k, servers[k].used_mbps))
                 streams_dropped += servers[k].fail(event[0])
                 if backbones is not None and backbone_by_server[k] > 0:
                     backbones[k // servers_per_pod].release(
@@ -383,6 +451,7 @@ class VoDClusterSimulator:
                 k = event[3]
                 tr = event[0]
                 servers[k].recover(tr)
+                repair_records.append((tr, k))
                 num_recoveries += 1
                 delta = tr - down_since.pop(k)
                 downtime[k] += delta
@@ -406,7 +475,7 @@ class VoDClusterSimulator:
                             )
                             seq += 1
             elif kind == _RETRY:
-                video, hold, attempt = event[3]
+                video, hold, attempt, index = event[3]
                 tr = event[0]
                 row = rate_rows[video]
                 saved = False
@@ -433,6 +502,7 @@ class VoDClusterSimulator:
                             )
                             seq += 1
                             num_failovers += 1
+                            retry_admissions.append((index, tr, server_id))
                             saved = True
                             break
                 if not saved:
@@ -441,7 +511,8 @@ class VoDClusterSimulator:
                         if nxt <= horizon_min:
                             heappush(
                                 heap,
-                                (nxt, _RETRY, seq, (video, hold, attempt + 1)),
+                                (nxt, _RETRY, seq,
+                                 (video, hold, attempt + 1, index)),
                             )
                             seq += 1
                             num_retries += 1
@@ -467,13 +538,15 @@ class VoDClusterSimulator:
 
         # Struct-of-arrays request columns: video-id validation, hold
         # times and the horizon cut are computed once, vectorized, and
-        # shared verbatim with the reference and audited loops.
+        # shared verbatim with the reference loop and the audit.
         soa = RequestSoA.from_trace(trace, self._durations, horizon_min)
         times_list = soa.times_list
         videos_list = soa.videos_list
         hold_list = soa.holds_list
         num_simulated = soa.num_simulated
         num_truncated = soa.num_truncated
+        decisions = [0] * num_simulated
+        redirect_base = 1 + len(servers)
 
         # Hot-loop locals (attribute lookups hoisted out of the loop;
         # rate_rows was bound above — the COW copy under re-replication).
@@ -680,6 +753,7 @@ class VoDClusterSimulator:
                         )
                         seq += 1
                         admitted = True
+                        decisions[index] = 1 + server_id
                         break
 
             if not admitted and backbones is not None and (
@@ -730,6 +804,7 @@ class VoDClusterSimulator:
                         )
                         seq += 1
                         admitted = True
+                        decisions[index] = redirect_base + delegate_id
 
             if not admitted:
                 if retry_policy is not None and (
@@ -743,7 +818,8 @@ class VoDClusterSimulator:
                         # resolves, always within the horizon.
                         heappush(
                             heap,
-                            (nxt, _RETRY, seq, (video, hold_list[index], 1)),
+                            (nxt, _RETRY, seq,
+                             (video, hold_list[index], 1, index)),
                         )
                         seq += 1
                         num_retries += 1
@@ -771,9 +847,11 @@ class VoDClusterSimulator:
                 next_sample += interval
 
         # Apply remaining events inside the horizon, close the integrals.
+        last_event = times_list[-1] if num_simulated else 0.0
         while heap and heap[0][0] <= horizon_min:
             event = heappop(heap)
             events_processed += 1
+            last_event = event[0]
             if event[1] == _DEPARTURE:
                 server_id, rate, redirected, epoch = event[3]
                 server = servers[server_id]
@@ -835,7 +913,17 @@ class VoDClusterSimulator:
                 result=result,
                 server_bandwidth_mbps=self._cluster.bandwidth_mbps.tolist(),
             )
-        return result
+        record = RunRecord(
+            soa,
+            decisions,
+            crash_records,
+            repair_records,
+            retry_admissions,
+            servers,
+            backbones,
+            last_event,
+        )
+        return result, record
 
     # ------------------------------------------------------------------
     @staticmethod

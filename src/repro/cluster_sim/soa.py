@@ -3,13 +3,13 @@
 :class:`RequestSoA` is the prepared, per-run form of a
 :class:`~repro.workload.requests.RequestTrace`: parallel numpy columns
 (arrival times, video ids, stream hold times) plus the horizon cut, built
-once per ``run()`` and shared by all three simulation loops — the
-optimized :class:`~repro.cluster_sim.simulator.VoDClusterSimulator`, the
+once per ``run()`` and shared by both simulation loops — the optimized
+:class:`~repro.cluster_sim.simulator.VoDClusterSimulator` and the
 clarity-first :class:`~repro.cluster_sim.reference.ReferenceClusterSimulator`
-and the audited loop in :mod:`repro.verify.audit`.  Centralizing the
-per-request state keeps the loops in lockstep *by construction*: video-id
-validation, the watch-time/duration hold rule and the horizon truncation
-are computed exactly once, vectorized, instead of three hand-copied
+— and by the post-run audit in :mod:`repro.verify.audit`.  Centralizing
+the per-request state keeps the loops in lockstep *by construction*:
+video-id validation, the watch-time/duration hold rule and the horizon
+truncation are computed exactly once, vectorized, instead of hand-copied
 variants that must be edited in sync.
 
 Two views of the same columns are exposed:
@@ -20,8 +20,8 @@ Two views of the same columns are exposed:
   *past* the horizon too;
 * plain-Python lists truncated to the simulated prefix
   (:attr:`times_list` / :attr:`videos_list` / :attr:`holds_list`) for the
-  optimized and audited event loops, which never touch numpy scalars on
-  the hot path.
+  optimized event loop, which never touches numpy scalars on the hot
+  path.
 
 The horizon cut is a single ``searchsorted`` over the (validated
 non-decreasing) arrival times: an arrival at exactly ``horizon_min`` is

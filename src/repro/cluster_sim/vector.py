@@ -1,7 +1,7 @@
 """Vectorized event-batch DES engine (the ``vector`` lockstep loop).
 
-:class:`VectorClusterSimulator` is the fourth lockstep engine (after the
-optimized, reference and audited loops): it produces bit-identical
+:class:`VectorClusterSimulator` is the third lockstep engine (after the
+optimized and reference loops): it produces bit-identical
 :class:`~repro.cluster_sim.metrics.SimulationResult` fields on every
 workload, but replaces the per-event Python loop with numpy batch
 operations over the shared :class:`~repro.cluster_sim.soa.RequestSoA`

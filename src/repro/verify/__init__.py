@@ -7,8 +7,8 @@ This package is the correctness backstop for the optimized hot paths:
   event-time monotonicity, objective accounting) hooked into
   :meth:`repro.cluster_sim.simulator.VoDClusterSimulator.run` via its
   ``auditors`` argument;
-* :mod:`repro.verify.audit` — the audited simulation loop and the
-  :class:`AuditReport` it produces;
+* :mod:`repro.verify.audit` — the post-run audit of the simulator's run
+  record and the :class:`AuditReport` it produces;
 * :mod:`repro.verify.fuzz` — the deterministic scenario fuzzer
   (``python -m repro.verify.fuzz --cases N --seed S``) running
   fast-vs-reference DES and incremental-vs-full annealing differentially;

@@ -1,67 +1,42 @@
-"""The audited simulation loop: the optimized DES with shadow accounting.
+"""Post-hoc invariant audit of one simulator run.
 
-:func:`run_audited` replays :meth:`VoDClusterSimulator.run`'s exact event
-loop — same event ordering, same arithmetic, bit-identical
-:class:`SimulationResult` — while recording an *independent* shadow
-account from which per-server occupancy trajectories, load integrals,
-backbone occupancy, and the admission/departure/drop conservation tallies
-are reconstructed and checked at the end of the run.
+:func:`run_audited` runs the optimized kernel
+(:meth:`VoDClusterSimulator._run`) — the very loop behind every plain
+``run()``, so results are bit-identical by construction — and audits the
+:class:`~repro.cluster_sim.simulator.RunRecord` it leaves behind.  From
+the record's per-arrival decision codes and rare-path crash/repair/retry
+records, plus the request columns, every shadow account is
+*reconstructed* vectorized: admission times, hold times and rates (from
+the layout, not from the loop's bookkeeping), crash drops replayed over
+the admission table, and every server's occupancy peak from one grouped
+prefix-sum scan.  The reconstruction is independent of
+``StreamingServer``'s bookkeeping, which is what lets the auditors catch
+broken release/crash accounting.
 
-Design notes
-------------
-* The plain ``run()`` is untouched when auditing is off: enabling is a
-  single ``if auditors:`` dispatch per *run*, so the disabled overhead is
-  zero by construction.
-* When enabled, the per-event instrumentation is one byte per arrival — a
-  decision code (rejected / admitted on server ``k`` / redirected to
-  ``k``) stored into a preallocated buffer — plus one event-time
-  watermark store per heap pop.  Monotonicity itself is audited at the
-  points where a past-dated event can be *introduced* (arrival ordering
-  and hold signs vectorized up front, failure/recovery pushes on the rare
-  path) rather than per pop.  Everything else is
-  *reconstructed* vectorized at end of run: admission times, hold times,
-  and rates come from the trace's existing numpy arrays and the layout's
-  rate matrix, crashes (rare) are replayed over the admission table, and
-  every server's full occupancy trajectory is rebuilt with a single
-  fused sort/scan.  The reconstruction is independent of
-  ``StreamingServer``'s bookkeeping — a strictly stronger check than
-  mirroring the loop's own arithmetic — and is what keeps the enabled
-  overhead within the <10% budget measured by
-  ``benchmarks/bench_hotpaths.py``.
-* Bit-identical results are enforced, not assumed:
-  ``tests/test_verify_auditors.py`` and the fuzzer cross-check the
-  audited loop against both the plain optimized and the reference
-  simulator.
+Event-time monotonicity is checked where a past-dated event could be
+*introduced*: out-of-order arrivals and negative holds (vectorized over
+the request columns) and repairs dated before their crash (over the
+crash/repair records), plus the clock watermark against the horizon.
+
+The cost is the recording the kernel always does (one list store per
+admission) plus the reconstruction, measured against the plain run by
+the ``audit`` block of ``benchmarks/bench_hotpaths.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 
-from ..cluster_sim.dispatch import Dispatcher, failover_order
-from ..cluster_sim.events import EventKind
 from ..cluster_sim.metrics import SimulationResult
 from ..cluster_sim.redirection import BackboneLink
 from ..cluster_sim.server import StreamingServer
-from ..cluster_sim.soa import RequestSoA
 from .auditors import InvariantAuditor, Violation, standard_auditors
 
-__all__ = ["Trajectory", "AuditReport", "run_audited"]
+__all__ = ["Trajectory", "AuditReport", "audit_record", "run_audited"]
 
-_DEPARTURE = int(EventKind.DEPARTURE)
-_FAILURE = int(EventKind.FAILURE)
-_RECOVERY = int(EventKind.RECOVERY)
-_RETRY = int(EventKind.RETRY)
-_REPLICATE = int(EventKind.REPLICATE)
 _EPS_MBPS = 1e-6
-_INF = float("inf")
-
-#: Decision codes stored per arrival (bytearray when 2 + 2N fits a byte).
-_REJECTED = 1
-_ADMIT_BASE = 2
 
 
 class Trajectory:
@@ -74,7 +49,6 @@ class Trajectory:
         "rejected",
         "departed",
         "dropped",
-        "stale",
         "active_end",
         "redirected",
         "events_audited",
@@ -99,7 +73,6 @@ class Trajectory:
         self.rejected = 0
         self.departed = 0
         self.dropped = 0
-        self.stale = 0
         self.active_end = 0
         self.redirected = 0
         self.events_audited = 0
@@ -218,7 +191,6 @@ def _reconstruct(
         alive_end = ~dropped & (te > H)
         audit.departed = int((~dropped & (te <= H)).sum())
         audit.dropped = int(dropped.sum())
-        audit.stale = int((dropped & (te <= H)).sum())
     else:
         eff = te
         alive_end = te > H
@@ -286,7 +258,7 @@ def _reconstruct(
         # times or crashes perturb them (then one extra argsort).  The
         # prefix-sum buffers carry a leading zero so group bases are plain
         # gathers, with no conditional ``np.where`` edge handling.
-        order_s = np.argsort(sid, kind="stable")  # radix: sid is uint8
+        order_s = np.argsort(sid, kind="stable")  # radix: sid is <= 16-bit
         g_start = t0[order_s]
         counts = np.bincount(sid, minlength=num_servers)
         offsets = np.zeros(num_servers + 1, dtype=np.intp)
@@ -427,264 +399,117 @@ def run_audited(
     :meth:`AuditReport.raise_if_failed` (as ``run(auditors=...)`` does) to
     escalate.
     """
-    import time as _time
-
     if auditors is None:
         auditors = standard_auditors()
+    result, record = simulator._run(
+        trace,
+        horizon_min=horizon_min,
+        failures=failures,
+        failover_on_down=failover_on_down,
+        failover=failover,
+        rereplication=rereplication,
+    )
+    return result, audit_record(simulator, result, record, auditors)
+
+
+def audit_record(
+    simulator, result: SimulationResult, record, auditors
+) -> AuditReport:
+    """Audit one kernel run's :class:`RunRecord` against its result."""
     enabled = (
         frozenset().union(*(a.checks for a in auditors))
         if auditors
         else frozenset()
     )
-    chk_monotonic = "monotonic" in enabled
     violations: list[Violation] = []
-
-    start_wall = _time.perf_counter()
-    if horizon_min is None:
-        horizon_min = trace.duration_min if trace.num_requests else 1.0
-    from .._validation import check_positive
-
-    check_positive("horizon_min", horizon_min)
-    horizon_min = float(horizon_min)
-
-    servers = [
-        StreamingServer(
-            k,
-            spec.bandwidth_mbps,
-            max_streams=(
-                simulator._stream_limits[k] if simulator._stream_limits else None
-            ),
-        )
-        for k, spec in enumerate(simulator._cluster)
-    ]
-    num_servers = len(servers)
-    dispatcher: Dispatcher = simulator._dispatcher_factory(simulator._layout)
-    # Redirection pods: one independent BackboneLink per pod (P=1 is the
-    # paper's single shared backbone; see the optimized loop).
-    pods = simulator._redirection_pods
-    if simulator._backbone_mbps > 0:
-        backbones = [
-            BackboneLink(simulator._backbone_mbps) for _ in range(pods)
-        ]
-        videos_per_pod = simulator._videos.num_videos // pods
-        servers_per_pod = len(servers) // pods
-        pod_servers = [
-            servers[p * servers_per_pod : (p + 1) * servers_per_pod]
-            for p in range(pods)
-        ]
-    else:
-        backbones = None
-        servers_per_pod = len(servers)
-    heap: list = []
-    seq = 0
-    backbone_by_server = [0.0] * num_servers
-    streams_dropped = 0
-    events_processed = 0
-
-    #: One record per crash: (time, server, occupied Mb/s at the crash);
-    #: one per repair: (time, server).
-    crash_records: list = []
-    repair_records: list = []
-    #: Retry admissions: (start, end, server, rate, video) side records,
-    #: merged into the reconstruction tables after the loop.
-    retry_admissions: list = []
-    last_event = 0.0
-
-    # Chaos gating mirrors the plain loops exactly.
-    chaos = failures is not None and len(failures) > 0
-    retry_policy = failover if chaos and failover is not None else None
-    rerep = rereplication if chaos and rereplication is not None else None
-    num_failures = num_recoveries = 0
-    num_retries = num_failovers = 0
-    num_lost_to_failure = num_rereplicated = 0
-    down_since: dict[int, float] = {}
-    downtime = [0.0] * num_servers
-    ttr_sum = 0.0
-
-    rate_rows = simulator._rate_rows
-    static_rows = rate_rows
-    if rerep is not None:
-        rate_rows = [row[:] for row in rate_rows]
-        lost_by_server: list[list[int]] = [[] for _ in servers]
-        videos_of_server: list[list[int]] | None = None
-    else:
-        videos_of_server = None
-
-    if failures is not None:
-        failures.validate_servers(num_servers)
-        for failure in failures:
-            # Strict <: a failure at exactly the end of the peak is a
-            # no-op rather than a mutation of post-horizon state.
-            if failure.time_min < horizon_min:
-                heappush(heap, (failure.time_min, _FAILURE, seq, failure))
-                seq += 1
-
-    dispatcher_holders = dispatcher.holders
-
-    def failure_touched(video: int) -> bool:
-        row = rate_rows[video]
-        for s in dispatcher_holders(video):
-            if row[s] <= 0.0 or not servers[s].is_up:
-                return True
-        return False
-
-    def handle_rare(event: tuple, seq: int) -> int:
-        """Apply one failure/recovery/retry/replicate event (audited)."""
-        nonlocal streams_dropped, num_failures, num_recoveries
-        nonlocal num_retries, num_failovers, num_lost_to_failure
-        nonlocal num_rereplicated, videos_of_server, ttr_sum
-        kind = event[1]
-        if kind == _FAILURE:
-            failure = event[3]
-            server_id = failure.server
-            num_failures += 1
-            down_since[server_id] = event[0]
-            crash_records.append(
-                (event[0], server_id, servers[server_id].used_mbps)
-            )
-            streams_dropped += servers[server_id].fail(event[0])
-            if backbones is not None and backbone_by_server[server_id] > 0:
-                backbones[server_id // servers_per_pod].release(
-                    backbone_by_server[server_id]
-                )
-                backbone_by_server[server_id] = 0.0
-            if rerep is not None:
-                if videos_of_server is None:
-                    videos_of_server = [
-                        [
-                            v
-                            for v in range(len(static_rows))
-                            if static_rows[v][s] > 0.0
-                        ]
-                        for s in range(num_servers)
-                    ]
-                lost = lost_by_server[server_id]
-                for v in videos_of_server[server_id]:
-                    if rate_rows[v][server_id] > 0.0:
-                        rate_rows[v][server_id] = 0.0
-                        lost.append(v)
-            recovery = failure.recovery_min
-            if recovery < _INF:
-                if chk_monotonic and recovery < event[0]:
-                    violations.append(
-                        Violation(
-                            "monotonic",
-                            recovery,
-                            f"server {server_id} recovery at "
-                            f"t={recovery:.9f} precedes its failure at "
-                            f"t={event[0]:.9f}",
-                        )
-                    )
-                heappush(heap, (recovery, _RECOVERY, seq, server_id))
-                seq += 1
-        elif kind == _RECOVERY:
-            k = event[3]
-            tr = event[0]
-            servers[k].recover(tr)
-            repair_records.append((tr, k))
-            num_recoveries += 1
-            delta = tr - down_since.pop(k)
-            downtime[k] += delta
-            ttr_sum += delta
-            if rerep is not None and lost_by_server[k]:
-                from ..dynamic.migration import plan_rereplication
-
-                lost = lost_by_server[k]
-                plan = plan_rereplication(
-                    lost,
-                    simulator._durations_list,
-                    {v: static_rows[v][k] for v in lost},
-                    migration_mbps=rerep.migration_mbps,
-                )
-                epoch = servers[k].epoch
-                for v, offset in plan:
-                    done = tr + offset
-                    if done <= horizon_min:
-                        heappush(heap, (done, _REPLICATE, seq, (k, v, epoch)))
-                        seq += 1
-        elif kind == _RETRY:
-            video, hold, attempt, index = event[3]
-            tr = event[0]
-            row = rate_rows[video]
-            saved = False
-            for server_id in failover_order(
-                dispatcher_holders(video), servers
-            ):
-                rate = row[server_id]
-                if rate > 0.0:
-                    server = servers[server_id]
-                    if (
-                        server.is_up
-                        and server.used_mbps + rate
-                        <= server.bandwidth_mbps + _EPS_MBPS
-                        and (
-                            server.max_streams is None
-                            or server.active_streams < server.max_streams
-                        )
-                    ):
-                        server.admit(tr, rate)
-                        heappush(
-                            heap,
-                            (tr + hold, _DEPARTURE, seq,
-                             (server_id, rate, False, server.epoch)),
-                        )
-                        seq += 1
-                        num_failovers += 1
-                        retry_admissions.append(
-                            (tr, tr + hold, server_id, rate, video)
-                        )
-                        saved = True
-                        break
-            if not saved:
-                if attempt < retry_policy.max_retries:
-                    nxt = tr + retry_policy.delay_min(attempt)
-                    if nxt <= horizon_min:
-                        heappush(
-                            heap,
-                            (nxt, _RETRY, seq,
-                             (video, hold, attempt + 1, index)),
-                        )
-                        seq += 1
-                        num_retries += 1
-                        return seq
-                per_video_rejected[video] += 1
-                decisions[index] = _REJECTED
-                if failure_touched(video):
-                    num_lost_to_failure += 1
-        else:  # _REPLICATE
-            k, v, epoch = event[3]
-            if servers[k].epoch == epoch:
-                rate_rows[v][k] = static_rows[v][k]
-                lost_by_server[k].remove(v)
-                num_rereplicated += 1
-        return seq
-
-    num_videos = simulator._videos.num_videos
-    per_video_requests = [0] * num_videos
-    per_video_rejected = [0] * num_videos
-
-    # Shared struct-of-arrays request columns — the same preparation the
-    # optimized loop runs, so the audited loop cannot drift on validation,
-    # hold times or the horizon cut.  The full (untruncated) numpy columns
-    # feed the monotonicity probes and the end-of-run reconstruction.
-    soa = RequestSoA.from_trace(trace, simulator._durations, horizon_min)
-    times = soa.times
-    videos = soa.videos
+    soa = record.soa
     holds = soa.holds
-    hold_list = soa.holds_list
-    times_list = soa.times_list
-    videos_list = soa.videos_list
-    num_arrivals = soa.num_requests
-    num_simulated = soa.num_simulated
+    servers = record.servers
+    backbones = record.backbones
+    num_servers = len(servers)
+    horizon_min = result.horizon_min
 
-    # Event-time monotonicity, checked where violations can actually be
-    # *introduced* rather than per heap pop: the loop schedules a departure
-    # at ``t + hold``, so a past-dated event requires an out-of-order
-    # arrival or a negative hold (both vectorized, one pass each); the rare
-    # failure/recovery pushes are probed in ``handle_rare``.  This covers
-    # strictly more than a pop-time probe (which never saw the arrival
-    # stream itself) at a per-event cost of one watermark store.
-    if chk_monotonic and num_arrivals:
+    if "monotonic" in enabled:
+        _probe_monotonic(violations, record)
+
+    # Admission table: the arrival-time admissions, then the failover
+    # retry admissions.
+    adm, sid, red = record.admissions()
+    t0 = soa.times.take(adm)
+    te = t0 + holds.take(adm)
+    vid = soa.videos.take(adm)
+    if record.retry_admissions:
+        # Retry starts interleave the arrivals; a stable merge sort
+        # restores the start-time order the peak reconstruction needs.
+        index, r_t0, r_sid = map(np.array, zip(*record.retry_admissions))
+        t0 = np.concatenate((t0, r_t0))
+        te = np.concatenate((te, r_t0 + holds.take(index)))
+        sid = np.concatenate((sid, r_sid.astype(sid.dtype)))
+        red = np.concatenate((red, np.zeros(len(index), dtype=bool)))
+        vid = np.concatenate((vid, soa.videos.take(index)))
+        order = np.argsort(t0, kind="stable")
+        t0, te, sid, red, vid = (a[order] for a in (t0, te, sid, red, vid))
+    # Delivered rates come from the layout: the replica's rate on a
+    # direct admission, the video's best copy on a redirected one.
+    rate = np.where(
+        red, simulator._best_rates[vid], simulator._rate_matrix[vid, sid]
+    )
+
+    audit = Trajectory(num_servers, horizon_min)
+    audit.arrivals_total = soa.num_requests
+    # Every simulated arrival is either admitted (a decision code or a
+    # retry record) or rejected, so rejections are the complement.
+    audit.rejected = soa.num_simulated - len(t0)
+    audit.rate_matrix = simulator._rate_matrix
+    audit.crash_records = record.crash_records
+    audit.repair_records = record.repair_records
+    audit.admission_times = t0
+    audit.admission_servers = sid
+    audit.backbone_capacity_mbps = simulator._backbone_mbps
+    audit.last_event_time = record.last_event_time
+    audit.events_audited = result.num_events
+    _reconstruct(
+        audit,
+        violations,
+        t0,
+        te,
+        sid,
+        rate,
+        red,
+        vid,
+        record.crash_records,
+        servers,
+        backbones,
+        num_servers // len(backbones) if backbones else num_servers,
+        enabled,
+    )
+
+    for auditor in auditors:
+        violations.extend(auditor.finish(audit, servers, result))
+
+    return AuditReport(
+        violations=tuple(violations),
+        events_audited=result.num_events,
+        checks=tuple(sorted(enabled)),
+        auditor_names=tuple(a.name for a in auditors),
+        admitted=audit.admitted,
+        rejected=audit.rejected,
+        departed=audit.departed,
+        dropped=audit.dropped,
+        active_end=audit.active_end,
+    )
+
+
+def _probe_monotonic(violations: list[Violation], record) -> None:
+    """Flag the inputs that would date an event before its cause.
+
+    The loop schedules a departure at ``t + hold`` and a recovery at its
+    failure's repair time, so a past-dated event needs an out-of-order
+    arrival, a negative hold or a repair before its crash.
+    """
+    times = record.soa.times
+    holds = record.soa.holds
+    if times.size:
         if bool((times[1:] < times[:-1]).any()):
             where = int(np.argmax(times[1:] < times[:-1]))
             violations.append(
@@ -706,345 +531,19 @@ def run_audited(
                     f"precede its arrival",
                 )
             )
-
-    # Per-arrival decision codes: 0 = not simulated (truncated), 1 =
-    # rejected, 2+k = admitted on server k, 2+N+k = redirected to k.  A
-    # bytearray store is the cheapest possible per-event instrumentation;
-    # big clusters (codes past one byte) fall back to a plain list.
-    if _ADMIT_BASE + 2 * num_servers <= 255:
-        decisions: "bytearray | list" = bytearray(num_arrivals)
-    else:  # pragma: no cover - clusters this large are not exercised
-        decisions = [0] * num_arrivals
-    redirect_base = _ADMIT_BASE + num_servers
-
-    # rate_rows was bound above (the COW copy under re-replication).
-    best_rates = simulator._best_rates_list
-    candidates_of = dispatcher.candidates
-    eps = _EPS_MBPS
-    rejected_code = _REJECTED
-    admit_base = _ADMIT_BASE
-
-    # Horizon pre-truncation happened in the SoA cut; the loop runs the
-    # simulated prefix only (mirrors the optimized loop exactly).
-    num_truncated = soa.num_truncated
-    for index in range(num_simulated):
-        t = times_list[index]
-        video = videos_list[index]
-
-        while heap and heap[0][0] <= t:
-            event = heappop(heap)
-            events_processed += 1
-            etime = last_event = event[0]
-            if event[1] == _DEPARTURE:
-                server_id, rate, redirected, epoch = event[3]
-                server = servers[server_id]
-                if server.epoch != epoch:
-                    continue  # stream already dropped by a crash
-                last = server._last_time_min
-                if etime > last:
-                    server._load_integral += server.used_mbps * (etime - last)
-                    server._last_time_min = etime
-                used = server.used_mbps - rate
-                if used < 0.0:
-                    if used < -eps:
-                        raise RuntimeError(
-                            f"server {server_id} bandwidth accounting "
-                            "went negative"
-                        )
-                    used = 0.0
-                server.used_mbps = used
-                server.active_streams -= 1
-                if redirected:
-                    backbones[server_id // servers_per_pod].release(rate)
-                    backbone_by_server[server_id] -= rate
-            else:
-                seq = handle_rare(event, seq)
-
-        events_processed += 1
-        per_video_requests[video] += 1
-        if best_rates[video] <= 0.0:
-            per_video_rejected[video] += 1
-            decisions[index] = rejected_code
-            continue
-        end_time = t + hold_list[index]
-
-        if failover_on_down:
-            candidates = list(candidates_of(video, servers))
-            if any(not servers[s].is_up for s in candidates):
-                extra = [
-                    s
-                    for s in dispatcher.holders(video)
-                    if s not in candidates
-                ]
-                extra.sort(key=lambda s: servers[s].utilization)
-                candidates.extend(extra)
-        else:
-            candidates = candidates_of(video, servers)
-
-        admitted = False
-        row = rate_rows[video]
-        for server_id in candidates:
-            rate = row[server_id]
-            if rate > 0.0:
-                server = servers[server_id]
-                if (
-                    server.is_up
-                    and server.used_mbps + rate
-                    <= server.bandwidth_mbps + eps
-                    and (
-                        server.max_streams is None
-                        or server.active_streams < server.max_streams
-                    )
-                ):
-                    last = server._last_time_min
-                    if t > last:
-                        server._load_integral += server.used_mbps * (t - last)
-                        server._last_time_min = t
-                    used = server.used_mbps + rate
-                    server.used_mbps = used
-                    server.active_streams += 1
-                    server.served_requests += 1
-                    if used > server.peak_load_mbps:
-                        server.peak_load_mbps = used
-                    heappush(
-                        heap,
-                        (end_time, _DEPARTURE, seq,
-                         (server_id, rate, False, server.epoch)),
-                    )
-                    seq += 1
-                    admitted = True
-                    decisions[index] = admit_base + server_id
-                    break
-
-        if not admitted and backbones is not None and (
-            rerep is None or any(row[s] > 0.0 for s in dispatcher_holders(video))
-        ):
-            rate = best_rates[video]
-            pod = video // videos_per_pod
-            backbone = backbones[pod]
-            if backbone.used_mbps + rate <= backbone.capacity_mbps + eps:
-                delegate = None
-                best_util = _INF
-                for server in pod_servers[pod]:
-                    if (
-                        server.is_up
-                        and server.used_mbps + rate
-                        <= server.bandwidth_mbps + eps
-                        and (
-                            server.max_streams is None
-                            or server.active_streams < server.max_streams
-                        )
-                    ):
-                        util = server.used_mbps / server.bandwidth_mbps
-                        if util < best_util:
-                            delegate = server
-                            best_util = util
-                if delegate is not None:
-                    delegate_id = delegate.server_id
-                    backbone.acquire(rate)
-                    backbone_by_server[delegate_id] += rate
-                    last = delegate._last_time_min
-                    if t > last:
-                        delegate._load_integral += delegate.used_mbps * (t - last)
-                        delegate._last_time_min = t
-                    used = delegate.used_mbps + rate
-                    delegate.used_mbps = used
-                    delegate.active_streams += 1
-                    delegate.served_requests += 1
-                    if used > delegate.peak_load_mbps:
-                        delegate.peak_load_mbps = used
-                    heappush(
-                        heap,
-                        (end_time, _DEPARTURE, seq,
-                         (delegate_id, rate, True, delegate.epoch)),
-                    )
-                    seq += 1
-                    admitted = True
-                    decisions[index] = redirect_base + delegate_id
-
-        if not admitted:
-            if retry_policy is not None and (
-                retry_policy.retry_saturated or failure_touched(video)
-            ):
-                nxt = t + retry_policy.delay_min(0)
-                if nxt <= horizon_min:
-                    # Pending failover retry: the decision code stays 0
-                    # until the RETRY event resolves (side record on
-                    # admit, rejected code on budget exhaustion).
-                    heappush(
-                        heap,
-                        (nxt, _RETRY, seq,
-                         (video, hold_list[index], 1, index)),
-                    )
-                    seq += 1
-                    num_retries += 1
-                else:
-                    per_video_rejected[video] += 1
-                    decisions[index] = rejected_code
-                    if failure_touched(video):
-                        num_lost_to_failure += 1
-            else:
-                per_video_rejected[video] += 1
-                decisions[index] = rejected_code
-                if chaos and failure_touched(video):
-                    num_lost_to_failure += 1
-
-    # Apply remaining events inside the horizon, close the integrals.
-    while heap and heap[0][0] <= horizon_min:
-        event = heappop(heap)
-        events_processed += 1
-        etime = last_event = event[0]
-        if event[1] == _DEPARTURE:
-            server_id, rate, redirected, epoch = event[3]
-            server = servers[server_id]
-            if server.epoch != epoch:
-                continue
-            server.release(etime, rate)
-            if redirected:
-                backbones[server_id // servers_per_pod].release(rate)
-                backbone_by_server[server_id] -= rate
-        else:
-            seq = handle_rare(event, seq)
-    for server in servers:
-        server.advance(horizon_min)
-    # Servers still down at the horizon accrue downtime to its edge.
-    for k, since in down_since.items():
-        downtime[k] += horizon_min - since
-
-    result = SimulationResult(
-        num_requests=sum(per_video_requests),
-        num_rejected=sum(per_video_rejected),
-        per_video_requests=np.asarray(per_video_requests, dtype=np.int64),
-        per_video_rejected=np.asarray(per_video_rejected, dtype=np.int64),
-        server_time_avg_load_mbps=np.array(
-            [s.time_avg_load_mbps(horizon_min) for s in servers]
-        ),
-        server_peak_load_mbps=np.array([s.peak_load_mbps for s in servers]),
-        server_served=np.array([s.served_requests for s in servers]),
-        server_bandwidth_mbps=simulator._cluster.bandwidth_mbps,
-        horizon_min=horizon_min,
-        num_redirected=(
-            sum(b.redirected_streams for b in backbones)
-            if backbones is not None
-            else 0
-        ),
-        streams_dropped=streams_dropped,
-        num_truncated=num_truncated,
-        num_events=events_processed,
-        num_failures=num_failures,
-        num_recoveries=num_recoveries,
-        num_retries=num_retries,
-        num_failovers=num_failovers,
-        num_lost_to_failure=num_lost_to_failure,
-        num_rereplicated=num_rereplicated,
-        mean_time_to_recovery_min=(
-            ttr_sum / num_recoveries if num_recoveries else 0.0
-        ),
-        server_downtime_min=np.asarray(downtime),
-        wall_time_sec=_time.perf_counter() - start_wall,
-    )
-
-    # Rebuild the admission table from the decision codes and the trace's
-    # own arrays (no per-element Python conversion).
-    simulated = num_arrivals - num_truncated
-    if isinstance(decisions, bytearray):
-        # uint8 keeps the downstream grouping argsort on the radix path.
-        dec = np.frombuffer(decisions, dtype=np.uint8)[:simulated]
-    else:  # pragma: no cover - big-cluster fallback
-        dec = np.asarray(decisions[:simulated], dtype=np.int16)
-    adm = np.flatnonzero(dec >= _ADMIT_BASE)
-    codes = dec.take(adm)
-    codes -= codes.dtype.type(_ADMIT_BASE)
-    red = codes >= num_servers
-    sid = np.where(red, codes - codes.dtype.type(num_servers), codes)
-    vid = videos.take(adm)
-    t0 = times.take(adm)
-    te = t0 + holds.take(adm)
-    # Per-admission delivered rates in one gather: column k of the cached
-    # table is the layout rate on server k, column N + k the best-copy
-    # rate a redirected stream carries over the backbone.  The table only
-    # depends on the simulator's immutable layout, so it is built once.
-    rate_table = getattr(simulator, "_audit_rate_table", None)
-    if rate_table is None:
-        rate_table = np.concatenate(
-            (
-                simulator._rate_matrix,
-                np.broadcast_to(
-                    simulator._best_rates[:, None],
-                    simulator._rate_matrix.shape,
-                ),
-            ),
-            axis=1,
-        )
-        simulator._audit_rate_table = rate_table
-    rate = rate_table[vid, codes]
-
-    if retry_admissions:
-        # Fold failover-retry admissions into the reconstruction tables.
-        # The tables must stay start-time sorted for the grouped
-        # prefix-sum peak reconstruction; a stable merge sort restores
-        # that after concatenation (retry starts interleave arrivals).
-        r_t0 = np.array([r[0] for r in retry_admissions])
-        r_te = np.array([r[1] for r in retry_admissions])
-        r_sid = np.array([r[2] for r in retry_admissions], dtype=np.int64)
-        r_rate = np.array([r[3] for r in retry_admissions])
-        r_vid = np.array([r[4] for r in retry_admissions], dtype=vid.dtype)
-        t0 = np.concatenate((t0, r_t0))
-        te = np.concatenate((te, r_te))
-        sid = np.concatenate((sid.astype(np.int64), r_sid))
-        rate = np.concatenate((rate, r_rate))
-        red = np.concatenate((red, np.zeros(len(r_t0), dtype=bool)))
-        vid = np.concatenate((vid, r_vid))
-        order = np.argsort(t0, kind="stable")
-        t0 = t0[order]
-        te = te[order]
-        sid = sid[order]
-        rate = rate[order]
-        red = red[order]
-        vid = vid[order]
-
-    audit = Trajectory(num_servers, horizon_min)
-    audit.arrivals_total = trace.num_requests
-    # Every simulated arrival stores exactly one decision code — or, for
-    # requests saved by a failover retry, one side record — so the
-    # rejected tally is the complement of the admissions.
-    audit.rejected = simulated - int(len(t0))
-    audit.rate_matrix = simulator._rate_matrix
-    audit.crash_records = crash_records
-    audit.repair_records = repair_records
-    audit.admission_times = t0
-    audit.admission_servers = sid
-    audit.backbone_capacity_mbps = simulator._backbone_mbps
-    audit.last_event_time = last_event
-    audit.events_audited = events_processed
-    _reconstruct(
-        audit,
-        violations,
-        t0,
-        te,
-        sid,
-        rate,
-        red,
-        vid,
-        crash_records,
-        servers,
-        backbones,
-        servers_per_pod,
-        enabled,
-    )
-
-    for auditor in auditors:
-        violations.extend(auditor.finish(audit, servers, result))
-
-    report = AuditReport(
-        violations=tuple(violations),
-        events_audited=events_processed,
-        checks=tuple(sorted(enabled)),
-        auditor_names=tuple(a.name for a in auditors),
-        admitted=audit.admitted,
-        rejected=audit.rejected,
-        departed=audit.departed,
-        dropped=audit.dropped,
-        active_end=audit.active_end,
-    )
-    return result, report
+    # A server's crashes and repairs alternate (the schedule rejects
+    # overlapping outages), so its j-th repair closes its j-th crash.
+    crashes: dict[int, list[float]] = {}
+    for crash_t, server_id, _ in record.crash_records:
+        crashes.setdefault(server_id, []).append(crash_t)
+    for repair_t, server_id in record.repair_records:
+        crash_t = crashes[server_id].pop(0)
+        if repair_t < crash_t:
+            violations.append(
+                Violation(
+                    "monotonic",
+                    repair_t,
+                    f"server {server_id} recovery at t={repair_t:.9f} "
+                    f"precedes its failure at t={crash_t:.9f}",
+                )
+            )

@@ -20,11 +20,11 @@ conservation arguments) regardless of workload, layout, or feature flags:
   accumulated per-stream tally, and the server/backbone bandwidth
   bookkeeping matches an independent shadow account.
 
-Auditors are *declarative*: each one names the fused per-event checks it
-enables (see :mod:`repro.verify.audit` — the audited loop performs all
-per-event instrumentation in one pass for speed, and the auditor list
+Auditors are *declarative*: each one names the reconstruction checks it
+enables (see :mod:`repro.verify.audit` — one post-run pass over the
+simulator's run record does all the reconstruction, and the auditor list
 selects which violations are reported) and implements a ``finish`` hook
-over the collected :class:`~repro.verify.audit.Trajectory`.  Custom
+over the rebuilt :class:`~repro.verify.audit.Trajectory`.  Custom
 auditors may subclass :class:`InvariantAuditor` and add their own
 ``finish`` logic; per-event granularity comes for free through the
 trajectory's shadow counters.
@@ -97,17 +97,17 @@ class InvariantViolation(RuntimeError):
 
 
 class InvariantAuditor:
-    """Base auditor: a named set of per-event checks plus a finish hook.
+    """Base auditor: a named set of checks plus a finish hook.
 
-    ``checks`` names the fused per-event checks this auditor enables in the
-    audited loop (see :mod:`repro.verify.audit`); ``finish`` runs once at
-    the end of the run over the collected trajectory and returns any
-    end-of-run violations.
+    ``checks`` names the reconstruction checks this auditor enables in the
+    audit (see :mod:`repro.verify.audit`); ``finish`` runs once at the end
+    of the run over the rebuilt trajectory and returns any end-of-run
+    violations.
     """
 
     #: Stable identifier (used in violation records and reports).
     name: str = "auditor"
-    #: Per-event check names this auditor turns on.
+    #: Check names this auditor turns on.
     checks: frozenset[str] = frozenset()
 
     def finish(
@@ -282,8 +282,8 @@ class EventMonotonicityAuditor(InvariantAuditor):
 class ObjectiveAccountingAuditor(InvariantAuditor):
     """Load integrals and bandwidth bookkeeping match a shadow account.
 
-    The audited loop accumulates, independently of ``StreamingServer``'s
-    own bookkeeping, (a) each server's occupied bandwidth and (b) the exact
+    The audit reconstructs, independently of ``StreamingServer``'s own
+    bookkeeping, (a) each server's occupied bandwidth and (b) the exact
     per-stream contribution to the load integral
     (``rate * overlap([start, end], [0, horizon])``).  At the end of the
     run both must agree with the server's internal state — the integrals to
@@ -355,7 +355,7 @@ class FailureAvailabilityAuditor(InvariantAuditor):
       down interval ``[crash_t, repair_t)`` (an unrepaired crash extends to
       the horizon);
     * **failure-counter consistency** — ``num_failures``/``num_recoveries``
-      equal the crash/repair records the audited loop observed, every
+      equal the crash/repair records the simulator logged, every
       successful failover consumed at least one scheduled retry, and
       requests lost to failures are a subset of all rejections;
     * **downtime bounds** — no server is down longer than the horizon, and

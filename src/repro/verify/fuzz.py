@@ -6,7 +6,7 @@ case:
 
 * **DES cases** — the optimized :class:`VoDClusterSimulator` against the
   clarity-first :class:`ReferenceClusterSimulator` (bit-identical
-  ``same_outcome`` required), the audited loop (bit-identical *and* zero
+  ``same_outcome`` required), the audited run (bit-identical *and* zero
   invariant violations required), and a repeat run (purity required);
 * **SA cases** — the incremental (delta-cost) annealing context against
   full recomputation: per-move delta exactness, rng parity, bitwise
@@ -118,7 +118,7 @@ def _run_des(params: dict) -> tuple[list[str], dict]:
     )
     if not result.same_outcome(audited):
         failures.append(
-            "des-audit-equivalence: audited loop diverged from plain run "
+            "des-audit-equivalence: audited run diverged from plain run "
             f"(rejected {result.num_rejected} vs {audited.num_rejected})"
         )
     for violation in report.violations:

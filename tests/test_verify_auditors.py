@@ -23,6 +23,7 @@ from repro.cluster_sim import (
 from repro.cluster_sim.metrics import SimulationResult
 from repro.cluster_sim.server import StreamingServer
 from repro.model.layout import ReplicaLayout
+from repro.observe import Observer, ObserverConfig
 from repro.verify import (
     BandwidthCapAuditor,
     EventMonotonicityAuditor,
@@ -30,10 +31,11 @@ from repro.verify import (
     ObjectiveAccountingAuditor,
     ReplicaDistinctnessAuditor,
     StreamConservationAuditor,
+    failure_auditors,
     run_audited,
     standard_auditors,
 )
-from repro.verify.audit import Trajectory
+from repro.verify.audit import Trajectory, audit_record
 from repro.verify.scenarios import build_des
 from repro.workload import RequestTrace
 
@@ -358,3 +360,70 @@ class TestStandardAuditors:
         assert "bandwidth" in str(violation) and "3.5" in str(violation)
         with pytest.raises(InvariantViolation, match="over the link"):
             raise InvariantViolation([violation])
+
+
+class TestOneKernel:
+    """The audit consumes the plain kernel's record; no path drops a feature."""
+
+    def test_audited_run_keeps_observation(self):
+        optimized, _, trace, run_kwargs = build_des(
+            des_params(failures=True, redirection=True, failover_on_down=True)
+        )
+        config = ObserverConfig(
+            sample_interval_min=1.0, trace_events=True, trace_event_every=1
+        )
+        plain_obs, audited_obs = Observer(config), Observer(config)
+        plain = optimized.run(trace, observer=plain_obs, **run_kwargs)
+        audited = optimized.run(
+            trace,
+            observer=audited_obs,
+            auditors=failure_auditors(),
+            **run_kwargs,
+        )
+        assert plain.same_outcome(audited)
+        for name, series in plain_obs.registry.series.items():
+            assert audited_obs.registry.series[name].rows == series.rows
+        for kind in ("arrival", "departure"):
+            events = plain_obs.tracer.by_kind(kind)
+            assert events
+            assert audited_obs.tracer.by_kind(kind) == events
+        assert len(plain_obs.registry.series["sim.server_load_mbps"]) == 40
+
+    def test_decision_codes_past_one_byte(self):
+        # N = 130: redirect codes 1 + N + k pass 255, and failover retries
+        # add retry-admission records on top.
+        optimized, reference, trace, run_kwargs = build_des(
+            des_params(
+                num_servers=130,
+                num_videos=260,
+                capacity=4,
+                bandwidth_mbps=120.0,
+                rate_per_min=200.0,
+                redirection=True,
+                backbone_frac=2.0,
+                failures=True,
+                failover_retry=True,
+            )
+        )
+        _, record = optimized._run(trace, **run_kwargs)
+        assert max(record.decisions) > 255
+        assert record.retry_admissions
+        audited, report = run_audited(
+            optimized, trace, auditors=failure_auditors(), **run_kwargs
+        )
+        assert report.ok, [str(v) for v in report.violations]
+        assert audited.same_outcome(reference.run(trace, **run_kwargs))
+        assert report.admitted + report.rejected == audited.num_requests
+
+    def test_repair_before_crash_flagged(self):
+        optimized, _, trace, run_kwargs = build_des(des_params(failures=True))
+        result, record = optimized._run(trace, **run_kwargs)
+        assert record.repair_records
+        _, server = record.repair_records[0]
+        crash_t = next(c[0] for c in record.crash_records if c[1] == server)
+        record.repair_records[0] = (crash_t - 1.0, server)
+        report = audit_record(optimized, result, record, standard_auditors())
+        assert any(
+            v.check == "monotonic" and "precedes its failure" in v.message
+            for v in report.violations
+        )
