@@ -293,10 +293,10 @@ def _fixed_rate_slots(
 # A batch of B layouts is one flat *holder list*: entry h is a placed
 # replica, ``video[h] = b*M + i`` and ``server[h] = b*N + k`` for video i
 # on server k of layout b.  Entries are sorted by video and, within a
-# video, by server (``np.nonzero`` order), so each placed video's holders
-# form one contiguous segment.  Every per-video or per-server sum of the
-# fixed point is a weighted ``np.bincount`` over these indices, which
-# costs O(replicas) rather than O(B * M * N).
+# video, by server (the layouts' ``holder_index`` order), so each placed
+# video's holders form one contiguous segment.  Every per-video or
+# per-server sum of the fixed point is a weighted ``np.bincount`` over
+# these indices, which costs O(replicas) rather than O(B * M * N).
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -584,16 +584,19 @@ def evaluate_layouts(
     for index, layout in enumerate(layouts):
         if (layout.num_videos, layout.num_servers) != shape:
             raise ValueError("all layouts must share one (videos, servers) shape")
-        rows, cols = np.nonzero(layout.rate_matrix)
-        layout_slots = _fixed_rate_slots(
-            cluster, layout.rate_matrix[rows, cols], num_servers
-        )
+        indptr, holders, rates = layout.holder_index
+        layout_slots = _fixed_rate_slots(cluster, rates, num_servers)
         if slots is None:
             slots = layout_slots
         elif not np.array_equal(layout_slots, slots):
             raise ValueError("all layouts must share one common bit rate")
-        videos.append(rows + index * num_videos)
-        servers.append(cols + index * num_servers)
+        videos.append(
+            np.repeat(
+                np.arange(index * num_videos, (index + 1) * num_videos),
+                np.diff(indptr),
+            )
+        )
+        servers.append(holders + index * num_servers)
     return _evaluate_holders(
         np.concatenate(videos),
         np.concatenate(servers),

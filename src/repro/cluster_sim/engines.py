@@ -4,13 +4,15 @@ All engines consume the same constructor arguments and produce
 ``same_outcome``-identical :class:`~repro.cluster_sim.metrics.SimulationResult`
 fields; they differ only in *how* the event loop executes:
 
-``optimized``
-    The tuple-heap production loop (:class:`VoDClusterSimulator`) — the
-    default everywhere.
 ``vector``
     Numpy event-batch execution over the SoA columns
-    (:class:`~repro.cluster_sim.vector.VectorClusterSimulator`); fastest
-    on the paper's base model, delegates to ``optimized`` elsewhere.
+    (:class:`~repro.cluster_sim.vector.VectorClusterSimulator`) — the
+    default everywhere (:data:`DEFAULT_ENGINE`).  It batches the paper's
+    base model exactly and delegates to ``optimized`` elsewhere,
+    recording why on the result.
+``optimized``
+    The tuple-heap event loop (:class:`VoDClusterSimulator`) behind every
+    configuration the vector engine does not batch.
 ``reference``
     The readable method-per-event loop (:class:`ReferenceClusterSimulator`)
     retained as the differential-testing oracle.
@@ -32,7 +34,13 @@ from .reference import ReferenceClusterSimulator
 from .simulator import VoDClusterSimulator
 from .vector import VectorClusterSimulator
 
-__all__ = ["ENGINES", "engine_run_kwargs", "make_simulator", "validate_engine"]
+__all__ = [
+    "DEFAULT_ENGINE",
+    "ENGINES",
+    "engine_run_kwargs",
+    "make_simulator",
+    "validate_engine",
+]
 
 #: Engine name -> simulator class.  ``audited`` reuses the optimized
 #: class; its auditors are armed per ``run()`` call via
@@ -43,6 +51,9 @@ ENGINES: dict[str, type[VoDClusterSimulator]] = {
     "reference": ReferenceClusterSimulator,
     "audited": VoDClusterSimulator,
 }
+
+#: The engine every ``engine=`` knob and the CLI default to.
+DEFAULT_ENGINE = "vector"
 
 
 def validate_engine(name: str) -> str:

@@ -43,6 +43,15 @@ class SimulationResult:
         Wall-clock time of the simulation run.  Excluded from
         :meth:`same_outcome`: it varies run to run while every semantic
         field is deterministic.
+    batched_servers / fallback_servers / delegated:
+        Which path of the engine ran, not what it simulated, so they are
+        excluded from :meth:`same_outcome` too.  The vector engine's
+        batched path counts the servers it replayed with array operations
+        and those it replayed with its exact scalar fallback; a run it
+        handed to the optimized loop names the reason instead
+        (``"observer"``, ``"auditors"``, ``"failures"``, ``"backbone"`` or
+        ``"dispatcher"``).  Other engines leave all three at their
+        defaults.
     """
 
     num_requests: int
@@ -79,6 +88,9 @@ class SimulationResult:
     #: no failures occurred — never None, so equality stays structural).
     server_downtime_min: np.ndarray | None = field(default=None, repr=False)
     wall_time_sec: float = 0.0
+    batched_servers: int = 0
+    fallback_servers: int = 0
+    delegated: str = ""
 
     def __post_init__(self) -> None:
         if self.server_downtime_min is None:
@@ -166,8 +178,9 @@ class SimulationResult:
     def same_outcome(self, other: "SimulationResult") -> bool:
         """True when every deterministic field matches bit-for-bit.
 
-        Wall-clock time is the only field allowed to differ: it depends on
-        the machine, not the simulated system.  This is the equality the
+        Wall-clock time and the engine-path fields are the only ones
+        allowed to differ: they depend on the machine and the engine, not
+        the simulated system.  This is the equality the
         parallel-vs-serial determinism guarantee is stated in.
         """
         scalars = (

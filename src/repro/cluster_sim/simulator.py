@@ -297,6 +297,10 @@ class VoDClusterSimulator:
             rereplication=rereplication,
             observer=observer,
         )
+        return self._audit(result, record, auditors)
+
+    def _audit(self, result: SimulationResult, record: "RunRecord", auditors):
+        """Check *record* with *auditors* (if any); return *result*."""
         if auditors:
             # Lazy import: cluster_sim must stay importable without the
             # verify package (and vice versa).
@@ -315,8 +319,13 @@ class VoDClusterSimulator:
         failover: FailoverPolicy | None = None,
         rereplication: RereplicationPolicy | None = None,
         observer=None,
+        delegated: str = "",
     ) -> "tuple[SimulationResult, RunRecord]":
-        """The event loop behind :meth:`run`: the result plus its record."""
+        """The event loop behind :meth:`run`: the result plus its record.
+
+        ``delegated`` is stamped on the result when another engine hands
+        the run to this loop (see ``SimulationResult.delegated``).
+        """
         start_wall = time.perf_counter()
         if horizon_min is None:
             horizon_min = trace.duration_min if trace.num_requests else 1.0
@@ -905,6 +914,7 @@ class VoDClusterSimulator:
             ),
             server_downtime_min=np.asarray(downtime),
             wall_time_sec=time.perf_counter() - start_wall,
+            delegated=delegated,
         )
         if observer is not None:
             observer.record_simulation(

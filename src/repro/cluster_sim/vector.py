@@ -19,7 +19,8 @@ interleaving therefore never couples two servers, and each server's
 timeline can be replayed independently as array operations:
 
 1. **Assignment sweep** — per-video occurrence ranks over the arrival
-   columns give each request its round-robin holder in one stable sort.
+   columns give each request its round-robin holder in one stable sort,
+   gathered from the layout's cached ``holder_index``.
 2. **Admission sandwich** — per server, admission decisions are bracketed
    between two monotone occupancy bounds (all-undecided-admitted vs
    all-undecided-rejected, both one ``cumsum`` over the merged
@@ -46,7 +47,9 @@ Configurations outside the decomposition (dynamic dispatchers couple
 servers through load inspection, chaos mutates replica state, the
 backbone scans every server, observers sample mid-run) delegate to the
 optimized loop, keeping lockstep equivalence trivial there by
-construction.  ``tests/test_vector_engine.py`` enforces equivalence over
+construction; the result's ``delegated`` field names the reason, and
+``batched_servers``/``fallback_servers`` count the two replay kinds on
+the batched path.  ``tests/test_vector_engine.py`` enforces equivalence over
 randomized crossings and the full pinned fuzz corpus.
 """
 
@@ -58,7 +61,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .._validation import check_positive
-from .dispatch import StaticRoundRobinDispatcher, _replica_servers
+from .dispatch import StaticRoundRobinDispatcher
 from .metrics import SimulationResult
 from .simulator import VoDClusterSimulator
 from .soa import RequestSoA
@@ -126,42 +129,42 @@ class VectorClusterSimulator(VoDClusterSimulator):
         throughput-critical configuration.  Everything else (dynamic
         dispatchers, chaos, redirection, observation, auditing) runs the
         optimized event loop, so results are lockstep-identical across
-        the whole configuration space either way.
+        the whole configuration space either way.  The result records
+        which path ran: ``batched_servers``/``fallback_servers`` on the
+        batched path, the reason from :meth:`_delegation_reason` otherwise.
         """
-        if (
-            auditors
-            or observer is not None
-            or (failures is not None and len(failures) > 0)
-            or self._backbone_mbps > 0
-            or self._dispatcher_factory is not StaticRoundRobinDispatcher
-        ):
-            return super().run(
-                trace,
-                horizon_min=horizon_min,
-                failures=failures,
-                failover_on_down=failover_on_down,
-                failover=failover,
-                rereplication=rereplication,
-                auditors=auditors,
-                observer=observer,
-            )
-        return self._run_batched(trace, horizon_min)
+        reason = self._delegation_reason(failures, auditors, observer)
+        if not reason:
+            return self._run_batched(trace, horizon_min)
+        result, record = self._run(
+            trace,
+            horizon_min=horizon_min,
+            failures=failures,
+            failover_on_down=failover_on_down,
+            failover=failover,
+            rereplication=rereplication,
+            observer=observer,
+            delegated=reason,
+        )
+        return self._audit(result, record, auditors)
 
-    # ------------------------------------------------------------------
-    def _static_rr_tables(self):
-        """Flattened per-video holder lists (cached; layout is immutable)."""
-        tables = getattr(self, "_rr_tables", None)
-        if tables is None:
-            holders = _replica_servers(self._layout)
-            counts = np.array([len(h) for h in holders], dtype=np.int64)
-            offsets = np.zeros(len(holders) + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            flat = np.array(
-                [s for hs in holders for s in hs], dtype=np.int64
-            )
-            tables = (flat, offsets[:-1], counts)
-            self._rr_tables = tables
-        return tables
+    def _delegation_reason(self, failures, auditors, observer) -> str:
+        """Why a run must take the optimized loop; ``""`` when it batches.
+
+        The first that applies of ``observer``, ``auditors``,
+        ``failures``, ``backbone`` and ``dispatcher``.
+        """
+        if observer is not None:
+            return "observer"
+        if auditors:
+            return "auditors"
+        if failures is not None and len(failures) > 0:
+            return "failures"
+        if self._backbone_mbps > 0:
+            return "backbone"
+        if self._dispatcher_factory is not StaticRoundRobinDispatcher:
+            return "dispatcher"
+        return ""
 
     # ------------------------------------------------------------------
     def _run_batched(self, trace, horizon_min) -> SimulationResult:
@@ -186,7 +189,8 @@ class VectorClusterSimulator(VoDClusterSimulator):
             videos, minlength=num_videos
         ).astype(np.int64, copy=False)
 
-        flat, offsets, hcounts = self._static_rr_tables()
+        indptr, holders, replica_rates = self._layout.holder_index
+        hcounts = np.diff(indptr)
         # A request for a replica-less video is rejected before dispatch
         # (no counter tick); everything else consumes one round-robin
         # tick and lands on exactly one candidate server.
@@ -196,8 +200,9 @@ class VectorClusterSimulator(VoDClusterSimulator):
         ends = ts + holds[serveable]
         if vs.size:
             occ = _occurrence_ranks(vs)
-            sid = flat[offsets[vs] + occ % hcounts[vs]]
-            rates = self._rate_matrix[vs, sid]
+            replica = indptr[vs] + occ % hcounts[vs]
+            sid = holders[replica]
+            rates = replica_rates[replica]
         else:
             sid = np.zeros(0, dtype=np.int64)
             rates = np.zeros(0)
@@ -207,6 +212,7 @@ class VectorClusterSimulator(VoDClusterSimulator):
         server_integral = np.zeros(num_servers)
         server_served = np.zeros(num_servers, dtype=np.int64)
         deps_processed = 0
+        fallback_servers = 0
 
         if vs.size:
             order_s = np.argsort(sid, kind="stable")
@@ -224,6 +230,7 @@ class VectorClusterSimulator(VoDClusterSimulator):
                     ts[sel], rates[sel], ends[sel], cap, maxs, horizon_min
                 )
                 if outcome is None:
+                    fallback_servers += 1
                     outcome = self._scalar_server(
                         ts[sel], rates[sel], ends[sel], cap, maxs,
                         horizon_min,
@@ -256,6 +263,8 @@ class VectorClusterSimulator(VoDClusterSimulator):
             num_truncated=soa.num_truncated,
             num_events=int(n) + int(deps_processed),
             wall_time_sec=time.perf_counter() - start_wall,
+            batched_servers=num_servers - fallback_servers,
+            fallback_servers=fallback_servers,
         )
 
     # ------------------------------------------------------------------

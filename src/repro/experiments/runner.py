@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis.stats import Summary, summarize
+from ..cluster_sim import DEFAULT_ENGINE
 from ..cluster_sim.metrics import SimulationResult
 from ..model.layout import ReplicaLayout
 from ..placement import RoundRobinPlacer, SmallestLoadFirstPlacer
@@ -113,7 +114,7 @@ def simulate_combo(
     backbone_mbps: float = 0.0,
     layout: ReplicaLayout | None = None,
     seed_salt: int = 0,
-    engine: str = "optimized",
+    engine: str = DEFAULT_ENGINE,
 ) -> list[SimulationResult]:
     """Run ``num_runs`` independent peak-period simulations of one point.
 

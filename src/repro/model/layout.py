@@ -10,12 +10,18 @@ construction; the remaining constraints (Eq. 4, 5, 7) are checked by
 The layout also knows how to compute the per-replica communication weights
 ``w_i = p_i / r_i`` (Sec. 3.2) and the expected per-server load they induce
 under the static round-robin dispatch assumption.
+
+Consumers that walk the replicas rather than the matrix (dispatch, the
+vector engine, the analytical surrogate) read one :class:`HolderIndex`,
+computed on first use and cached on the frozen layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Sequence
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,11 +29,25 @@ from .._validation import check_int_in_range, check_probability_vector
 from .cluster import ClusterSpec
 from .video import MEGABITS_PER_GB, VideoCollection
 
-__all__ = ["ReplicaLayout", "LayoutViolation"]
+__all__ = ["HolderIndex", "ReplicaLayout", "LayoutViolation"]
 
 
 class LayoutViolation(ValueError):
     """Raised when a layout violates one of the paper's constraints."""
+
+
+class HolderIndex(NamedTuple):
+    """CSR index of a layout's replicas, grouped by video.
+
+    The holders of video ``i`` are ``indices[indptr[i]:indptr[i + 1]]``
+    in ascending server order, and ``rates`` holds each replica's bit
+    rate at the same positions.  ``indptr`` has ``M + 1`` int64 offsets;
+    all three arrays are read-only.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    rates: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -144,10 +164,52 @@ class ReplicaLayout:
         """
         return self.rate_matrix.max(axis=1)
 
+    @cached_property
+    def holder_index(self) -> HolderIndex:
+        """The layout's :class:`HolderIndex`, built once on first access.
+
+        One ``np.nonzero`` over the matrix yields the replicas in
+        row-major order, i.e. sorted by video and then by server, which
+        is exactly the CSR order; ``bincount`` turns the video ids into
+        offsets.
+        """
+        videos, servers = np.nonzero(self.rate_matrix > 0)
+        indptr = np.zeros(self.num_videos + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(videos, minlength=self.num_videos), out=indptr[1:]
+        )
+        index = HolderIndex(
+            indptr,
+            servers.astype(np.int64, copy=False),
+            self.rate_matrix[videos, servers],
+        )
+        for array in index:
+            array.setflags(write=False)
+        return index
+
+    @cached_property
+    def holder_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Per-video holder tuples of plain ``int`` (from the index).
+
+        The scalar simulator loops iterate candidates per request, where
+        numpy scalar boxing would cost more than the admission check, so
+        they read these instead of :attr:`holder_index`.
+        """
+        indptr, indices, _ = self.holder_index
+        flat = indices.tolist()
+        bounds = indptr.tolist()
+        return tuple(
+            tuple(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
+        )
+
     def servers_of(self, video: int) -> np.ndarray:
-        """Indices of the servers holding replicas of *video* (ascending)."""
+        """Indices of the servers holding replicas of *video* (ascending).
+
+        A read-only slice of :attr:`holder_index`.
+        """
         check_int_in_range("video", video, 0, self.num_videos - 1)
-        return np.flatnonzero(self.rate_matrix[video] > 0)
+        indptr, indices, _ = self.holder_index
+        return indices[indptr[video] : indptr[video + 1]]
 
     def videos_on(self, server: int) -> np.ndarray:
         """Indices of videos with a replica on *server*."""

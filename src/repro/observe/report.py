@@ -2,8 +2,8 @@
 
 Consumes the file written by :meth:`Observer.export_jsonl` (or any JSONL
 event stream) and prints: event counts by kind, the metrics snapshot,
-phase wall times, and — when the per-server load series is present — an
-ASCII utilization timeline.  This is the ``observe-report`` subcommand of
+phase wall times, the engine path of the simulated runs, and — when the
+per-server load series is present — an ASCII utilization timeline.  This is the ``observe-report`` subcommand of
 ``python -m repro``.
 """
 
@@ -60,6 +60,8 @@ def render_trace_report(events: list[dict], *, charts: bool = False) -> str:
     series: dict[str, dict] = {}
     metrics: dict | None = None
     meta: dict | None = None
+    sim_runs = batched = fallbacks = 0
+    delegations: dict[str, int] = {}
     for event in events:
         kind = event.get("kind", "?")
         counts[kind] = counts.get(kind, 0) + 1
@@ -69,6 +71,13 @@ def render_trace_report(events: list[dict], *, charts: bool = False) -> str:
             metrics = event
         elif kind == "series":
             series[event.get("name", f"series{len(series)}")] = event
+        elif kind == "sim.run":
+            sim_runs += 1
+            batched += int(event.get("batched_servers", 0))
+            fallbacks += int(event.get("fallback_servers", 0))
+            reason = event.get("delegated", "")
+            if reason:
+                delegations[reason] = delegations.get(reason, 0) + 1
         elif kind == "span":
             name = event.get("name", "?")
             spans[name] = spans.get(name, 0.0) + float(event.get("wall_sec", 0.0))
@@ -118,6 +127,19 @@ def render_trace_report(events: list[dict], *, charts: bool = False) -> str:
                 f"  {name:<{width}}  {seconds:>9.3f}s"
                 for name, seconds in phases.items()
             )
+
+    if sim_runs:
+        lines.append("")
+        lines.append(f"engine path ({sim_runs:,} simulated runs):")
+        lines.append(f"  batched servers   {batched:>10,}")
+        lines.append(f"  scalar fallbacks  {fallbacks:>10,}")
+        lines.append(
+            "  delegated runs    "
+            + (
+                ", ".join(f"{r} {n:,}" for r, n in sorted(delegations.items()))
+                or "none"
+            )
+        )
 
     if spans:
         lines.append("")

@@ -131,7 +131,10 @@ def default_cache_dir() -> Path:
 #: re-simulates and overwrites them.
 _SCHEMA_VERSION = 2
 
-#: SimulationResult fields persisted per entry, in schema order.
+#: SimulationResult fields persisted per entry, in schema order.  The
+#: engine-path facts (``batched_servers``, ``fallback_servers``,
+#: ``delegated``) describe the run that produced an entry, not its
+#: outcome, so they are not persisted and a hit reads them as defaults.
 _SCALAR_FIELDS = (
     ("num_requests", int),
     ("num_rejected", int),

@@ -153,3 +153,103 @@ class TestValidate:
         assert simple_layout().is_valid(self.cluster, self.videos)
         bad = ReplicaLayout.from_assignment([[0], [0], [0]], 2)
         assert not bad.is_valid(self.cluster, self.videos)
+
+
+def _random_layout(rng, num_videos, num_servers, density, *, mixed=False):
+    """A random layout: each (video, server) pair holds a replica with
+    probability *density*; rates are one value, or per-video with *mixed*."""
+    present = rng.random((num_videos, num_servers)) < density
+    if mixed:
+        rates = rng.choice([1.5, 3.0, 4.0, 6.0], size=(num_videos, 1))
+    else:
+        rates = np.full((num_videos, 1), 4.0)
+    return ReplicaLayout(rate_matrix=np.where(present, rates, 0.0))
+
+
+class TestHolderIndex:
+    """The cached CSR index equals the per-row ``flatnonzero`` it replaces."""
+
+    @staticmethod
+    def assert_matches_rows(layout: ReplicaLayout) -> None:
+        indptr, indices, rates = layout.holder_index
+        matrix = layout.rate_matrix
+        assert indptr.dtype == np.int64 and indices.dtype == np.int64
+        assert indptr.shape == (layout.num_videos + 1,)
+        assert indptr[0] == 0 and indptr[-1] == layout.total_replicas
+        np.testing.assert_array_equal(np.diff(indptr), layout.replica_counts)
+        for video in range(layout.num_videos):
+            expected = np.flatnonzero(matrix[video] > 0)
+            got = indices[indptr[video] : indptr[video + 1]]
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(
+                rates[indptr[video] : indptr[video + 1]], matrix[video, expected]
+            )
+            np.testing.assert_array_equal(layout.servers_of(video), expected)
+            assert layout.holder_lists[video] == tuple(expected.tolist())
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 1.0])
+    def test_random_layouts(self, seed, density):
+        rng = np.random.default_rng(seed)
+        num_videos = int(rng.integers(1, 40))
+        num_servers = int(rng.integers(1, 12))
+        layout = _random_layout(
+            rng, num_videos, num_servers, density, mixed=bool(seed % 2)
+        )
+        self.assert_matches_rows(layout)
+
+    def test_empty_rows(self):
+        layout = ReplicaLayout(
+            rate_matrix=np.array([[0.0, 0.0], [4.0, 4.0], [0.0, 0.0], [0.0, 4.0]])
+        )
+        self.assert_matches_rows(layout)
+        np.testing.assert_array_equal(layout.holder_index.indptr, [0, 0, 2, 2, 3])
+        assert layout.holder_lists == ((), (0, 1), (), (1,))
+
+    def test_fully_empty_layout(self):
+        layout = ReplicaLayout.empty(5, 3)
+        self.assert_matches_rows(layout)
+        assert layout.holder_index.indices.size == 0
+        np.testing.assert_array_equal(layout.holder_index.indptr, np.zeros(6))
+
+    def test_mixed_per_video_rates(self):
+        layout = ReplicaLayout(
+            rate_matrix=np.array([[2.0, 0.0, 2.0], [0.0, 6.0, 6.0], [1.5, 0.0, 0.0]])
+        )
+        self.assert_matches_rows(layout)
+        np.testing.assert_array_equal(
+            layout.holder_index.rates, [2.0, 2.0, 6.0, 6.0, 1.5]
+        )
+
+    def test_e17_shape(self):
+        # The large-cache shape of E17: M=10k videos on N=100 servers.
+        rng = np.random.default_rng(17)
+        layout = _random_layout(rng, 10_000, 100, 0.012)
+        indptr, indices, _ = layout.holder_index
+        rows, cols = np.nonzero(layout.rate_matrix > 0)
+        np.testing.assert_array_equal(indices, cols)
+        np.testing.assert_array_equal(
+            np.repeat(np.arange(layout.num_videos), np.diff(indptr)), rows
+        )
+        for video in rng.choice(layout.num_videos, 50, replace=False):
+            np.testing.assert_array_equal(
+                layout.servers_of(int(video)),
+                np.flatnonzero(layout.rate_matrix[video] > 0),
+            )
+
+    def test_arrays_not_writeable(self):
+        layout = simple_layout()
+        for array in layout.holder_index:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+        with pytest.raises(ValueError):
+            layout.servers_of(0)[0] = 1
+
+    def test_computed_once(self):
+        layout = simple_layout()
+        first = layout.holder_index
+        assert layout.holder_index is first
+        assert layout.holder_lists is layout.holder_lists
+        for field_a, field_b in zip(first, layout.holder_index):
+            assert field_a is field_b

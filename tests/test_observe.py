@@ -404,6 +404,22 @@ class TestExport:
         assert "sim.server_utilization" in text
         assert "sim.server_load_mbps" in text
 
+    def test_render_engine_path(self, small_setup, tmp_path):
+        from repro import PipelineConfig, solve
+
+        observer = Observer(ObserverConfig())
+        solve(
+            PipelineConfig(setup=small_setup, engine="vector"),
+            observer=observer,
+        )
+        path = tmp_path / "obs.jsonl"
+        observer.export_jsonl(path)
+        runs = [e for e in load_trace(path) if e["kind"] == "sim.run"]
+        assert runs and all(e["delegated"] == "observer" for e in runs)
+        text = render_trace_report(load_trace(path))
+        assert f"engine path ({len(runs)} simulated runs)" in text
+        assert f"delegated runs    observer {len(runs)}" in text
+
     def test_render_empty(self):
         assert "empty trace" in render_trace_report([])
 

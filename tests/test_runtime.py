@@ -219,6 +219,26 @@ class TestRunReport:
     def test_events_per_sec_zero_without_wall(self):
         assert RunReport().events_per_sec == 0.0
 
+    def test_engine_path_counters(self, small_setup):
+        report = RunReport()
+        with ParallelRunner(jobs=1, report=report) as runner, use_runner(runner):
+            simulate_combo(small_setup, PAPER_COMBOS[0], 0.75, 1.2, 10.0)
+            simulate_combo(
+                small_setup, PAPER_COMBOS[0], 0.75, 1.2, 10.0,
+                dispatcher="least_loaded",
+            )
+        num_servers = small_setup.num_servers
+        assert (
+            report.num_batched_servers + report.num_fallback_servers
+            == 3 * num_servers
+        )
+        assert report.delegations == {"dispatcher": 3}
+        assert "delegated runs: dispatcher 3" in report.format()
+        report.reset()
+        assert report.num_batched_servers == report.num_fallback_servers == 0
+        assert report.delegations == {}
+        assert "engine" not in report.format()
+
     def test_record_annealing_counters(self):
         class FakeResult:
             steps = 1200

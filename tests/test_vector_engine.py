@@ -305,3 +305,114 @@ class TestEngineThreading:
         assert serving.engine == "vector"
         assert serving.shards == 2
         assert serving.dispatcher == "least_loaded"
+
+
+class TestDefaultEngine:
+    """``vector`` is the default everywhere and records its engine path."""
+
+    @pytest.fixture(scope="class")
+    def small_setup(self):
+        from repro.experiments import PaperSetup
+
+        return PaperSetup().scaled_down(
+            num_videos=24, num_servers=4, num_runs=2
+        )
+
+    def test_configs_default_to_registry_default(self):
+        from repro import PipelineConfig
+        from repro.cluster_sim import DEFAULT_ENGINE
+        from repro.runtime.trial import TrialSpec
+        from repro.serving import ServingConfig
+
+        assert DEFAULT_ENGINE == "vector"
+        assert PipelineConfig().engine == ServingConfig().engine == DEFAULT_ENGINE
+        assert TrialSpec.__dataclass_fields__["engine"].default == DEFAULT_ENGINE
+
+    def test_cli_engine_choices_match_registry(self):
+        import argparse
+
+        from repro.__main__ import _shared_sim_flags
+        from repro.cluster_sim import DEFAULT_ENGINE
+
+        parser = argparse.ArgumentParser()
+        _shared_sim_flags(parser)
+        (action,) = [a for a in parser._actions if a.dest == "engine"]
+        assert set(action.choices) == set(ENGINES)
+        assert action.default == DEFAULT_ENGINE
+
+    def test_observed_solve_delegates_with_same_outcome(self, small_setup):
+        from repro import PipelineConfig, solve
+        from repro.observe import Observer, ObserverConfig
+
+        config = PipelineConfig(
+            theta=0.75,
+            replication_degree=1.2,
+            arrival_rate_per_min=15.0,
+            setup=small_setup,
+        )
+        plain = solve(config)
+        observed = solve(config, observer=Observer(ObserverConfig()))
+        num_servers = small_setup.num_servers
+        assert len(plain.results) == len(observed.results) == 2
+        for batched, delegated in zip(plain.results, observed.results):
+            assert batched.same_outcome(delegated)
+            assert batched.delegated == ""
+            assert batched.batched_servers == num_servers
+            assert delegated.delegated == "observer"
+            assert delegated.batched_servers == delegated.fallback_servers == 0
+        assert plain.report.num_batched_servers == 2 * num_servers
+        assert plain.report.delegations == {}
+        assert observed.report.delegations == {"observer": 2}
+        assert "delegated runs: observer 2" in observed.report.format()
+
+    @pytest.mark.parametrize(
+        "overrides, reason",
+        [
+            ({"dispatcher": "least_loaded"}, "dispatcher"),
+            ({"redirection": True}, "backbone"),
+            ({"failures": True}, "failures"),
+        ],
+    )
+    def test_delegation_reason_recorded(self, overrides, reason):
+        optimized, _, trace, run_kwargs = build_des(_params(**overrides))
+        result = _vector_twin(optimized).run(trace, **run_kwargs)
+        assert result.delegated == reason
+        assert result.batched_servers == result.fallback_servers == 0
+        assert optimized.run(trace, **run_kwargs).delegated == ""
+
+    def test_auditors_delegation_reason(self):
+        from repro.verify import standard_auditors
+
+        optimized, _, trace, run_kwargs = build_des(_params())
+        result = _vector_twin(optimized).run(
+            trace, auditors=standard_auditors(), **run_kwargs
+        )
+        assert result.delegated == "auditors"
+
+    def test_scalar_fallback_counted(self, monkeypatch):
+        optimized, _, trace, run_kwargs = build_des(
+            _params(rate_per_min=60.0, bandwidth_mbps=120.0)
+        )
+        expected = optimized.run(trace, **run_kwargs)
+        monkeypatch.setattr(
+            VectorClusterSimulator, "_solve_server", lambda self, *a: None
+        )
+        result = _vector_twin(optimized).run(trace, **run_kwargs)
+        assert expected.same_outcome(result)
+        assert result.fallback_servers == optimized._cluster.num_servers
+        assert result.batched_servers == 0
+
+    def test_merge_sums_engine_path(self):
+        from dataclasses import replace
+
+        from repro.cluster_sim.sharding import merge_results
+
+        optimized, _, trace, run_kwargs = build_des(_params())
+        batched = _vector_twin(optimized).run(trace, **run_kwargs)
+        delegated = replace(
+            optimized.run(trace, **run_kwargs), delegated="failures"
+        )
+        merged = merge_results([batched, delegated, batched])
+        assert merged.batched_servers == 2 * batched.batched_servers
+        assert merged.fallback_servers == 0
+        assert merged.delegated == "failures"
