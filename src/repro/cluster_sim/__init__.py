@@ -18,10 +18,10 @@ Extensions layered on the same event machinery:
   (:mod:`.sharding`);
 * a vectorized event-batch engine over the SoA columns (:mod:`.vector`)
   behind the lockstep engine registry (:mod:`.engines`);
-* the wide-striping shared-storage architecture the paper argues against
-  (:mod:`.striping`);
-* multicast batching delivery (:mod:`.batching`);
-* wait-queue admission with bounded patience (:mod:`.queueing`).
+* delivery models run as configurations of the one event loop: the
+  wide-striping architecture the paper argues against (:mod:`.striping`),
+  multicast batching (:mod:`.batching`) and wait-queue admission with
+  bounded patience (:mod:`.queueing`).
 """
 
 from .batching import BatchingClusterSimulator, BatchingResult

@@ -8,20 +8,23 @@ window* share a single multicast stream, trading startup latency for
 bandwidth.
 
 Model: the first request for video ``v`` opens a batch and schedules it to
-fire ``window_min`` later; requests for ``v`` arriving before the fire join
-it for free.  At fire time one stream is dispatched for the whole batch
-(same dispatch/admission rules as unicast); if no server can carry it, the
-entire batch is rejected.  ``window_min = 0`` degenerates to the paper's
-unicast model (batches of size one fire instantly).
+fire ``window_min`` later; requests for ``v`` arriving up to the fire
+instant join it for free.  At fire time one stream is dispatched for the
+whole batch (same dispatch/admission rules as unicast); if no server can
+carry it, the entire batch is rejected.  Batches still open at the horizon
+fire at it.  ``window_min = 0`` degenerates to the paper's unicast model.
 
-Metrics extend :class:`SimulationResult` with the number of multicast
-streams started, the mean startup wait and the *batching factor*
-(viewers served per stream) — the capacity multiplier batching buys.
+Kernel configuration: batch membership depends on the trace alone, so
+batching is a trace transform.  :class:`VoDClusterSimulator` runs the
+*stream* trace, one arrival per batch at its fire instant, and the run's
+decision record is folded back over the batches into the extra metrics:
+streams started, mean startup wait and the *batching factor* (viewers
+served per stream) — the capacity multiplier batching buys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,10 +33,10 @@ from ..model.cluster import ClusterSpec
 from ..model.layout import ReplicaLayout
 from ..model.video import VideoCollection
 from ..workload.requests import RequestTrace
-from .dispatch import Dispatcher, StaticRoundRobinDispatcher
-from .events import EventKind, EventQueue
+from .dispatch import StaticRoundRobinDispatcher
 from .metrics import SimulationResult
-from .server import StreamingServer
+from .simulator import VoDClusterSimulator
+from .soa import RequestSoA
 
 __all__ = ["BatchingResult", "BatchingClusterSimulator"]
 
@@ -84,20 +87,16 @@ class BatchingClusterSimulator:
         dispatcher_factory=StaticRoundRobinDispatcher,
         validate_layout: bool = True,
     ) -> None:
-        if layout.num_videos != videos.num_videos:
-            raise ValueError("layout and videos disagree on M")
-        if layout.num_servers != cluster.num_servers:
-            raise ValueError("layout and cluster disagree on N")
         check_non_negative("window_min", window_min)
-        if validate_layout:
-            layout.validate(cluster, videos, allow_mixed_rates=True)
-        self._cluster = cluster
-        self._videos = videos
-        self._layout = layout
+        self._kernel = VoDClusterSimulator(
+            cluster,
+            videos,
+            layout,
+            dispatcher_factory=dispatcher_factory,
+            validate_layout=validate_layout,
+        )
         self._window = float(window_min)
-        self._dispatcher_factory = dispatcher_factory
-        self._rate_matrix = layout.rate_matrix
-        self._best_rates = layout.video_bit_rates
+        self._replicated = (layout.video_bit_rates > 0.0).tolist()
         self._durations = videos.durations_min
 
     # ------------------------------------------------------------------
@@ -111,116 +110,60 @@ class BatchingClusterSimulator:
         if horizon_min is None:
             horizon_min = trace.duration_min if trace.num_requests else 1.0
         check_positive("horizon_min", horizon_min)
+        horizon_min = float(horizon_min)
+        if trace.watch_min is not None:
+            raise ValueError(
+                "the batching simulator models full-duration sessions; "
+                "strip the trace's watch times first"
+            )
+        soa = RequestSoA.from_trace(trace, self._durations, horizon_min)
+        per_video_rejected = [0] * len(self._replicated)
 
-        servers = [
-            StreamingServer(k, spec.bandwidth_mbps)
-            for k, spec in enumerate(self._cluster)
-        ]
-        dispatcher: Dispatcher = self._dispatcher_factory(self._layout)
-        events = EventQueue()
-
-        num_videos = self._videos.num_videos
-        per_video_requests = np.zeros(num_videos, dtype=np.int64)
-        per_video_rejected = np.zeros(num_videos, dtype=np.int64)
-        open_batches: dict[int, list[float]] = {}
-        streams_started = 0
-        viewers_served = 0
-        total_wait = 0.0
-
-        times = trace.arrival_min
-        videos = trace.videos
-        if times.size and int(videos.max()) >= num_videos:
-            raise ValueError("trace references a video outside the collection")
-
-        def fire_batch(time: float, video: int) -> None:
-            nonlocal streams_started, viewers_served, total_wait
-            batch = open_batches.pop(video)
-            admitted = False
-            for server_id in dispatcher.candidates(video, servers):
-                rate = float(self._rate_matrix[video, server_id])
-                if rate > 0.0 and servers[server_id].can_admit(rate):
-                    servers[server_id].admit(time, rate)
-                    events.push(
-                        time + float(self._durations[video]),
-                        EventKind.DEPARTURE,
-                        (server_id, rate),
-                    )
-                    admitted = True
-                    break
-            if admitted:
-                streams_started += 1
-                viewers_served += len(batch)
-                total_wait += sum(time - arrival for arrival in batch)
-            else:
-                per_video_rejected[video] += len(batch)
-
-        def handle(event) -> None:
-            if event.kind is EventKind.DEPARTURE:
-                server_id, rate = event.payload
-                servers[server_id].release(event.time, rate)
-            elif event.kind is EventKind.BATCH_FIRE:
-                fire_batch(event.time, event.payload)
-
-        def drain(until: float, *, hold_batches_at_until: bool = False) -> None:
-            """Handle queued events up to *until*.
-
-            ``hold_batches_at_until`` keeps batch firings scheduled exactly
-            at *until* in the queue, so a request arriving at that instant
-            still joins its batch (the EventKind.BATCH_FIRE-after-ARRIVAL
-            ordering, applied across the arrival iterator).
-            """
-            while events:
-                head = events.peek()
-                if head.time > until:
-                    break
-                if (
-                    hold_batches_at_until
-                    and head.time == until
-                    and head.kind is EventKind.BATCH_FIRE
-                ):
-                    break
-                handle(events.pop())
-
-        for t, video in zip(times, videos):
-            t = float(t)
-            if t > horizon_min:
-                break
-            video = int(video)
-            drain(t, hold_batches_at_until=True)
-            per_video_requests[video] += 1
-            if self._best_rates[video] <= 0.0:
+        # Form the batches: (fire instant, video, viewer arrival times).
+        batches: list[tuple[float, int, list[float]]] = []
+        open_batch: dict[int, tuple[float, int, list[float]]] = {}
+        for t, video in zip(soa.times_list, soa.videos_list):
+            if not self._replicated[video]:
                 per_video_rejected[video] += 1
                 continue
-            if video in open_batches:
-                open_batches[video].append(t)
+            batch = open_batch.get(video)
+            if batch is not None and batch[0] >= t:
+                batch[2].append(t)
             else:
-                open_batches[video] = [t]
-                events.push(t + self._window, EventKind.BATCH_FIRE, video)
+                batch = open_batch[video] = (t + self._window, video, [t])
+                batches.append(batch)
 
-        # Close the measurement window, then fire batches still open: their
-        # viewers arrived inside the horizon and deserve an admission
-        # verdict (taken at the horizon; the remaining wait is curtailed).
-        drain(horizon_min)
-        while events:
-            event = events.pop()
-            if event.kind is EventKind.BATCH_FIRE:
-                fire_batch(horizon_min, event.payload)
-            # departures past the horizon are outside the measurement
-        for server in servers:
-            server.advance(horizon_min)
+        # One stream per batch, in firing order; the stable sort keeps
+        # creation order among equal instants.
+        batches.sort(key=lambda b: (min(b[0], horizon_min), b[0]))
+        starts = [min(b[0], horizon_min) for b in batches]
+        streams = RequestTrace(
+            np.array(starts, dtype=np.float64),
+            np.array([b[1] for b in batches], dtype=np.int64),
+        )
+        base, record = self._kernel._run(streams, horizon_min=horizon_min)
 
-        base = SimulationResult(
+        streams_started = viewers_served = 0
+        total_wait = 0.0
+        for (_, video, arrivals), start, decision in zip(
+            batches, starts, record.decisions
+        ):
+            if decision:
+                streams_started += 1
+                viewers_served += len(arrivals)
+                total_wait += sum(start - arrival for arrival in arrivals)
+            else:
+                per_video_rejected[video] += len(arrivals)
+        per_video_requests = np.bincount(
+            soa.videos[: soa.num_simulated], minlength=len(per_video_rejected)
+        )
+        base = replace(
+            base,
             num_requests=int(per_video_requests.sum()),
-            num_rejected=int(per_video_rejected.sum()),
+            num_rejected=sum(per_video_rejected),
             per_video_requests=per_video_requests,
-            per_video_rejected=per_video_rejected,
-            server_time_avg_load_mbps=np.array(
-                [s.time_avg_load_mbps(horizon_min) for s in servers]
-            ),
-            server_peak_load_mbps=np.array([s.peak_load_mbps for s in servers]),
-            server_served=np.array([s.served_requests for s in servers]),
-            server_bandwidth_mbps=self._cluster.bandwidth_mbps,
-            horizon_min=float(horizon_min),
+            per_video_rejected=np.asarray(per_video_rejected, dtype=np.int64),
+            num_truncated=soa.num_truncated,
         )
         mean_wait = total_wait / viewers_served if viewers_served else 0.0
         return BatchingResult(

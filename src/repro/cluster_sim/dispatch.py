@@ -37,10 +37,11 @@ def failover_order(
     """Retry order for failover dispatch: least utilized holder first.
 
     A stable sort, so equal-utilization holders keep ascending-id order —
-    the same tie rule as :class:`LeastLoadedDispatcher`.  All three
-    simulator loops (optimized, reference, audited) route failover
-    retries through this single helper, which is what keeps their retry
-    candidate ordering bit-identical by construction.
+    the same tie rule as :class:`LeastLoadedDispatcher`.  Failover
+    retries in both simulator loops, the optimized loop's wait-queue
+    starts and the reference loop's redirection delegate all choose
+    through this single helper, which keeps the loops' choices
+    bit-identical by construction.
     """
     return sorted(holders, key=lambda s: servers[s].utilization)
 

@@ -9,10 +9,8 @@ Heap entries are *plain tuples*: :class:`Event` is a ``NamedTuple``, so
 ``heapq`` compares ``(time, kind, seq, payload)`` tuples through CPython's
 fast C tuple comparison instead of dataclass ``__lt__`` dispatch.  The
 ``seq`` tiebreak is unique per queue, so comparison never reaches the
-payload.  Hot paths (the cluster simulator's request loop) may bypass the
-method API entirely and push bare ``(time, kind, seq, payload)`` tuples
-onto :attr:`EventQueue.heap`; bare tuples and :class:`Event` entries
-interoperate because ``Event`` *is* a tuple.
+payload.  The optimized kernel keeps its own bare-tuple heap in the same
+order; this queue serves the clarity-first reference loop.
 """
 
 from __future__ import annotations
@@ -42,12 +40,6 @@ class EventKind(enum.IntEnum):
     RECOVERY = 1
     FAILURE = 2
     ARRIVAL = 3
-    #: Batched-multicast start; after ARRIVAL so a request arriving at the
-    #: same instant still joins the batch.
-    BATCH_FIRE = 4
-    #: Wait-queue patience expiry; after DEPARTURE so a slot freed at the
-    #: deadline still saves the request.
-    DEFECTION = 5
     #: Failover retry of a rejected request (chaos extension); after every
     #: state-changing kind so the retry sees the instant's settled state.
     RETRY = 6
@@ -75,15 +67,8 @@ class EventQueue:
     __slots__ = ("heap", "_counter")
 
     def __init__(self) -> None:
-        #: The raw tuple heap.  Hot loops may operate on it directly with
-        #: ``heapq`` plus :meth:`next_seq`, as long as entries keep the
-        #: ``(time, kind, seq, payload)`` shape with valid times.
         self.heap: list[Event] = []
         self._counter = itertools.count()
-
-    def next_seq(self) -> int:
-        """Next insertion-order tiebreak (for direct-heap producers)."""
-        return next(self._counter)
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> None:
         """Schedule an event; time must be finite and >= 0."""

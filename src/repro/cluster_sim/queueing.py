@@ -12,31 +12,36 @@ Policy details:
 
 * An arrival is admitted immediately if any dispatched candidate has room
   (same policies as the unicast simulator).
-* Otherwise it joins a FIFO wait queue and defects after ``patience_min``.
-* Every departure triggers a queue scan: the oldest waiting request whose
-  video has a replica with room anywhere starts (waiting defeats static
-  dispatch on purpose — a waiting viewer takes any replica).
+* Otherwise it joins a FIFO wait queue and defects after ``patience_min``
+  (a departure exactly at the deadline still saves it); ``patience_min =
+  0`` is the paper's instant rejection.
+* Every departure triggers a queue scan, oldest first: each waiter whose
+  video has a holder with room starts on the least-utilized one (waiting
+  defeats static dispatch on purpose — a waiting viewer takes any
+  replica).  Viewers still waiting at the horizon count as rejected.
 
-Metrics extend :class:`SimulationResult` with defection counts and the
-mean/max start delay of queued-then-served viewers.
+Kernel configuration: the wait queue is the one policy hook of
+:class:`VoDClusterSimulator`'s event loop (the private ``patience_min``
+argument of ``_run``).  Queue starts are recorded as delayed admissions,
+so the extra metrics — defection counts and the mean/max start delay of
+queued-then-served viewers — fold out of the run record, and
+:mod:`repro.verify.audit` rebuilds a queueing run like any other.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import check_non_negative, check_positive
+from .._validation import check_non_negative
 from ..model.cluster import ClusterSpec
 from ..model.layout import ReplicaLayout
 from ..model.video import VideoCollection
 from ..workload.requests import RequestTrace
-from .dispatch import Dispatcher, StaticRoundRobinDispatcher
-from .events import EventKind, EventQueue
+from .dispatch import StaticRoundRobinDispatcher
 from .metrics import SimulationResult
-from .server import StreamingServer
+from .simulator import VoDClusterSimulator
 
 __all__ = ["QueueingResult", "QueueingClusterSimulator"]
 
@@ -82,21 +87,16 @@ class QueueingClusterSimulator:
         dispatcher_factory=StaticRoundRobinDispatcher,
         validate_layout: bool = True,
     ) -> None:
-        if layout.num_videos != videos.num_videos:
-            raise ValueError("layout and videos disagree on M")
-        if layout.num_servers != cluster.num_servers:
-            raise ValueError("layout and cluster disagree on N")
         check_non_negative("patience_min", patience_min)
-        if validate_layout:
-            layout.validate(cluster, videos, allow_mixed_rates=True)
-        self._cluster = cluster
-        self._videos = videos
-        self._layout = layout
+        self._kernel = VoDClusterSimulator(
+            cluster,
+            videos,
+            layout,
+            dispatcher_factory=dispatcher_factory,
+            validate_layout=validate_layout,
+        )
         self._patience = float(patience_min)
-        self._dispatcher_factory = dispatcher_factory
-        self._rate_matrix = layout.rate_matrix
-        self._best_rates = layout.video_bit_rates
-        self._durations = videos.durations_min
+        self._replicated = layout.video_bit_rates > 0.0
 
     # ------------------------------------------------------------------
     def run(
@@ -106,139 +106,28 @@ class QueueingClusterSimulator:
         horizon_min: float | None = None,
     ) -> QueueingResult:
         """Simulate one trace with the wait-queue admission policy."""
-        if horizon_min is None:
-            horizon_min = trace.duration_min if trace.num_requests else 1.0
-        check_positive("horizon_min", horizon_min)
-
-        servers = [
-            StreamingServer(k, spec.bandwidth_mbps)
-            for k, spec in enumerate(self._cluster)
-        ]
-        dispatcher: Dispatcher = self._dispatcher_factory(self._layout)
-        events = EventQueue()
-        ticket = itertools.count()
-
-        num_videos = self._videos.num_videos
-        per_video_requests = np.zeros(num_videos, dtype=np.int64)
-        per_video_rejected = np.zeros(num_videos, dtype=np.int64)
-        # FIFO wait queue with lazy deletion: id -> (video, arrival time).
-        waiting: dict[int, tuple[int, float]] = {}
-        num_queued = 0
-        num_queued_served = 0
-        waits: list[float] = []
-
-        times = trace.arrival_min
-        videos = trace.videos
-        if times.size and int(videos.max()) >= num_videos:
-            raise ValueError("trace references a video outside the collection")
         if trace.watch_min is not None:
             raise ValueError(
                 "the wait-queue simulator models full-duration sessions; "
                 "strip the trace's watch times first"
             )
-
-        def start_stream(time: float, video: int, server_id: int) -> None:
-            rate = float(self._rate_matrix[video, server_id])
-            servers[server_id].admit(time, rate)
-            events.push(
-                time + float(self._durations[video]),
-                EventKind.DEPARTURE,
-                (server_id, rate),
-            )
-
-        def any_holder_with_room(video: int) -> int | None:
-            best, best_util = None, np.inf
-            for server_id in dispatcher.holders(video):
-                server_id = int(server_id)
-                rate = float(self._rate_matrix[video, server_id])
-                server = servers[server_id]
-                if rate > 0.0 and server.can_admit(rate) and server.utilization < best_util:
-                    best, best_util = server_id, server.utilization
-            return best
-
-        def serve_from_queue(time: float) -> None:
-            nonlocal num_queued_served
-            # FIFO by ticket id (dicts preserve insertion order).
-            for ticket_id in list(waiting):
-                video, arrival = waiting[ticket_id]
-                server_id = any_holder_with_room(video)
-                if server_id is None:
-                    continue
-                del waiting[ticket_id]
-                start_stream(time, video, server_id)
-                num_queued_served += 1
-                waits.append(time - arrival)
-
-        def handle(event) -> None:
-            if event.kind is EventKind.DEPARTURE:
-                server_id, rate = event.payload
-                servers[server_id].release(event.time, rate)
-                serve_from_queue(event.time)
-            elif event.kind is EventKind.DEFECTION:
-                ticket_id = event.payload
-                entry = waiting.pop(ticket_id, None)
-                if entry is not None:
-                    per_video_rejected[entry[0]] += 1
-
-        def drain(until: float) -> None:
-            while events and events.peek().time <= until:
-                handle(events.pop())
-
-        for t, video in zip(times, videos):
-            t = float(t)
-            if t > horizon_min:
-                break
-            video = int(video)
-            drain(t)
-            per_video_requests[video] += 1
-            if self._best_rates[video] <= 0.0:
-                per_video_rejected[video] += 1
-                continue
-
-            admitted = False
-            for server_id in dispatcher.candidates(video, servers):
-                rate = float(self._rate_matrix[video, server_id])
-                if rate > 0.0 and servers[server_id].can_admit(rate):
-                    start_stream(t, video, server_id)
-                    admitted = True
-                    break
-            if not admitted:
-                if self._patience == 0.0:
-                    per_video_rejected[video] += 1
-                else:
-                    ticket_id = next(ticket)
-                    waiting[ticket_id] = (video, t)
-                    num_queued += 1
-                    events.push(
-                        t + self._patience, EventKind.DEFECTION, ticket_id
-                    )
-
-        drain(horizon_min)
-        # Requests still waiting at the horizon: their outcome is unknown
-        # within the measurement; count them as defected (conservative).
-        for video, _arrival in waiting.values():
-            per_video_rejected[video] += 1
-        waiting.clear()
-        for server in servers:
-            server.advance(horizon_min)
-
-        base = SimulationResult(
-            num_requests=int(per_video_requests.sum()),
-            num_rejected=int(per_video_rejected.sum()),
-            per_video_requests=per_video_requests,
-            per_video_rejected=per_video_rejected,
-            server_time_avg_load_mbps=np.array(
-                [s.time_avg_load_mbps(horizon_min) for s in servers]
-            ),
-            server_peak_load_mbps=np.array([s.peak_load_mbps for s in servers]),
-            server_served=np.array([s.served_requests for s in servers]),
-            server_bandwidth_mbps=self._cluster.bandwidth_mbps,
-            horizon_min=float(horizon_min),
+        base, record = self._kernel._run(
+            trace, horizon_min=horizon_min, patience_min=self._patience
         )
+        soa = record.soa
+        times = soa.times_list
+        waits = [start - times[i] for i, start, _ in record.delayed_admissions]
+        # Every arrival of a replicated video that was not admitted on
+        # arrival joined the queue (unless patience is 0).
+        num_queued = 0
+        if self._patience:
+            not_admitted = np.asarray(record.decisions) == 0
+            videos = soa.videos[: soa.num_simulated]
+            num_queued = int((not_admitted & self._replicated[videos]).sum())
         return QueueingResult(
             base=base,
             num_queued=num_queued,
-            num_queued_served=num_queued_served,
+            num_queued_served=len(waits),
             mean_wait_min=float(np.mean(waits)) if waits else 0.0,
             max_wait_min=float(np.max(waits)) if waits else 0.0,
         )

@@ -75,7 +75,7 @@ class ReferenceClusterSimulator(VoDClusterSimulator):
             videos_per_pod = self._videos.num_videos // pods
             servers_per_pod = len(servers) // pods
             pod_servers = [
-                servers[p * servers_per_pod : (p + 1) * servers_per_pod]
+                range(p * servers_per_pod, (p + 1) * servers_per_pod)
                 for p in range(pods)
             ]
         else:
@@ -300,8 +300,13 @@ class ReferenceClusterSimulator(VoDClusterSimulator):
                 pod = video // videos_per_pod
                 backbone = backbones[pod]
                 if backbone.can_carry(rate):
-                    delegate = self._least_utilized_with_room(
-                        pod_servers[pod], rate
+                    delegate = next(
+                        (
+                            k
+                            for k in failover_order(pod_servers[pod], servers)
+                            if servers[k].can_admit(rate)
+                        ),
+                        None,
                     )
                     if delegate is not None:
                         backbone.acquire(rate)

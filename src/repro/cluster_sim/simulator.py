@@ -34,9 +34,22 @@ are bit-identical field for field (see
 ``tests/test_simulator_equivalence.py``).
 
 The same loop also leaves a :class:`RunRecord` behind — one decision
-code per admitted arrival plus the rare-path crash/repair/retry records —
-from which :mod:`repro.verify.audit` rebuilds and checks every shadow
-account after the run, so auditing never needs a second copy of the loop.
+code per admitted arrival plus the rare-path crash/repair/delayed-start
+records — from which :mod:`repro.verify.audit` rebuilds and checks every
+shadow account after the run, so auditing never needs a second copy of the
+loop.
+
+Wide striping (:mod:`.striping`) and batched multicast (:mod:`.batching`)
+run this loop unchanged, on a pooled one-server cluster and on a trace of
+batch streams.  The wait queue (:mod:`.queueing`) is its one policy hook,
+``_run(patience_min=...)``: a rejected arrival whose video has a replica
+waits in a FIFO queue; after each departure the queue is scanned oldest
+first, waiters whose deadline passed before it defect (deadlines are
+FIFO-ordered, so defection needs no event) and the others start on their
+least-utilized holder with room, like failover retries, recorded as
+delayed admissions.  Waiters left at the horizon count as rejected.  With
+the queue off, the loop's only addition is a falsy ``if waiting:`` per
+departure.
 """
 
 from __future__ import annotations
@@ -82,10 +95,11 @@ class RunRecord:
     ``decisions`` has one slot per simulated arrival, written only on
     admission: ``1 + k`` when server ``k`` served it from its own replica,
     ``1 + N + k`` when it was redirected to server ``k`` over the
-    backbone; 0 means rejected or handed to a failover retry.  The rare
-    paths append ``(time, server, occupied Mb/s before the crash)`` per
-    crash, ``(time, server)`` per repair and ``(arrival index, time,
-    server)`` per retry admission.  ``last_event_time`` is a clock
+    backbone; 0 means rejected, handed to a failover retry or queued.  The
+    rare paths append ``(time, server, occupied Mb/s before the crash)``
+    per crash, ``(time, server)`` per repair and ``(arrival index, time,
+    server)`` per delayed admission: a failover retry or a wait-queue
+    start.  ``last_event_time`` is a clock
     watermark read outside the per-arrival path: the time of the last
     event the closing drain applied, else of the last simulated arrival.
     """
@@ -94,7 +108,7 @@ class RunRecord:
     decisions: list[int]
     crash_records: list[tuple[float, int, float]]
     repair_records: list[tuple[float, int]]
-    retry_admissions: list[tuple[int, float, int]]
+    delayed_admissions: list[tuple[int, float, int]]
     servers: list[StreamingServer]
     backbones: "list[BackboneLink] | None"
     last_event_time: float
@@ -320,11 +334,14 @@ class VoDClusterSimulator:
         rereplication: RereplicationPolicy | None = None,
         observer=None,
         delegated: str = "",
+        patience_min: float = 0.0,
     ) -> "tuple[SimulationResult, RunRecord]":
         """The event loop behind :meth:`run`: the result plus its record.
 
         ``delegated`` is stamped on the result when another engine hands
         the run to this loop (see ``SimulationResult.delegated``).
+        ``patience_min > 0`` turns on the wait queue (see the module
+        docstring); 0 keeps the paper's instant rejection.
         """
         start_wall = time.perf_counter()
         if horizon_min is None:
@@ -374,7 +391,9 @@ class VoDClusterSimulator:
         # Rare-path records for the RunRecord (see its docstring).
         crash_records: list = []
         repair_records: list = []
-        retry_admissions: list = []
+        delayed_admissions: list = []
+        # Wait queue: (deadline, arrival index, video) in arrival order.
+        waiting: list = []
 
         # Chaos gating: with no (or an empty) failure schedule every new
         # mechanism is off and the hot loop below is byte-for-byte the
@@ -484,53 +503,26 @@ class VoDClusterSimulator:
                             )
                             seq += 1
             elif kind == _RETRY:
-                video, hold, attempt, index = event[3]
+                video, attempt, index = event[3]
                 tr = event[0]
-                row = rate_rows[video]
-                saved = False
-                for server_id in failover_order(
-                    dispatcher_holders(video), servers
-                ):
-                    rate = row[server_id]
-                    if rate > 0.0:
-                        server = servers[server_id]
-                        if (
-                            server.is_up
-                            and server.used_mbps + rate
-                            <= server.bandwidth_mbps + _EPS_MBPS
-                            and (
-                                server.max_streams is None
-                                or server.active_streams < server.max_streams
-                            )
-                        ):
-                            server.admit(tr, rate)
-                            heappush(
-                                heap,
-                                (tr + hold, _DEPARTURE, seq,
-                                 (server_id, rate, False, server.epoch)),
-                            )
-                            seq += 1
-                            num_failovers += 1
-                            retry_admissions.append((index, tr, server_id))
-                            saved = True
-                            break
-                if not saved:
-                    if attempt < retry_policy.max_retries:
-                        nxt = tr + retry_policy.delay_min(attempt)
-                        if nxt <= horizon_min:
-                            heappush(
-                                heap,
-                                (nxt, _RETRY, seq,
-                                 (video, hold, attempt + 1, index)),
-                            )
-                            seq += 1
-                            num_retries += 1
-                            return seq
-                    # Retry budget (or horizon) exhausted: a timeout is a
-                    # rejection.
-                    per_video_rejected[video] += 1
-                    if failure_touched(video):
-                        num_lost_to_failure += 1
+                started = start_delayed(index, video, tr, seq)
+                if started > seq:
+                    num_failovers += 1
+                    return started
+                if attempt < retry_policy.max_retries:
+                    nxt = tr + retry_policy.delay_min(attempt)
+                    if nxt <= horizon_min:
+                        heappush(
+                            heap,
+                            (nxt, _RETRY, seq, (video, attempt + 1, index)),
+                        )
+                        num_retries += 1
+                        return seq + 1
+                # Retry budget (or horizon) exhausted: a timeout is a
+                # rejection.
+                per_video_rejected[video] += 1
+                if failure_touched(video):
+                    num_lost_to_failure += 1
             else:  # _REPLICATE
                 k, v, epoch = event[3]
                 if servers[k].epoch == epoch:
@@ -539,6 +531,43 @@ class VoDClusterSimulator:
                     num_rereplicated += 1
                 # else: the server crashed again mid-copy; the replica
                 # stays lost and will be re-planned at the next repair.
+            return seq
+
+        def start_delayed(index: int, video: int, now: float, seq: int) -> int:
+            """Start arrival *index* late on its least-utilized holder with
+            room (failover retries and wait-queue starts alike).
+
+            Returns the next event seq: *seq* itself when no holder has room.
+            """
+            row = rate_rows[video]
+            holders = dispatcher_holders(video)
+            for server_id in failover_order(holders, servers):
+                rate = row[server_id]
+                server = servers[server_id]
+                if rate > 0.0 and server.can_admit(rate):
+                    server.admit(now, rate)
+                    heappush(
+                        heap,
+                        (now + hold_list[index], _DEPARTURE, seq,
+                         (server_id, rate, False, server.epoch)),
+                    )
+                    delayed_admissions.append((index, now, server_id))
+                    return seq + 1
+            return seq
+
+        def serve_waiters(now: float, seq: int) -> int:
+            """Scan the wait queue after a departure at *now*."""
+            kept = []
+            for entry in waiting:
+                deadline, index, video = entry
+                if deadline < now:
+                    per_video_rejected[video] += 1  # defected
+                    continue
+                started = start_delayed(index, video, now, seq)
+                if started == seq:
+                    kept.append(entry)
+                seq = started
+            waiting[:] = kept
             return seq
 
         num_videos = self._videos.num_videos
@@ -627,6 +656,8 @@ class VoDClusterSimulator:
                             if not trace_dep_down:
                                 trace_dep_down = trace_every
                                 traced.append(("departure", etime, dep_server))
+                        if waiting:
+                            seq = serve_waiters(etime, seq)
                     else:
                         seq = handle_rare(event, seq)
 
@@ -695,6 +726,8 @@ class VoDClusterSimulator:
                         if not trace_dep_down:
                             trace_dep_down = trace_every
                             traced.append(("departure", etime, server_id))
+                    if waiting:
+                        seq = serve_waiters(etime, seq)
                 else:
                     seq = handle_rare(event, seq)
 
@@ -827,8 +860,7 @@ class VoDClusterSimulator:
                         # resolves, always within the horizon.
                         heappush(
                             heap,
-                            (nxt, _RETRY, seq,
-                             (video, hold_list[index], 1, index)),
+                            (nxt, _RETRY, seq, (video, 1, index)),
                         )
                         seq += 1
                         num_retries += 1
@@ -836,6 +868,8 @@ class VoDClusterSimulator:
                         per_video_rejected[video] += 1
                         if failure_touched(video):
                             num_lost_to_failure += 1
+                elif patience_min:
+                    waiting.append((t + patience_min, index, video))
                 else:
                     per_video_rejected[video] += 1
                     if chaos and failure_touched(video):
@@ -848,12 +882,10 @@ class VoDClusterSimulator:
 
         # Close out the observation timeline up to the horizon (sampling
         # drains preserve event order; the loop below sees the remainder).
-        if next_sample <= horizon_min:
-            arrivals_done = num_simulated
-            while next_sample <= horizon_min:
-                _drain_events(next_sample)
-                _record_sample(next_sample, arrivals_done)
-                next_sample += interval
+        while next_sample <= horizon_min:
+            _drain_events(next_sample)
+            _record_sample(next_sample, num_simulated)
+            next_sample += interval
 
         # Apply remaining events inside the horizon, close the integrals.
         last_event = times_list[-1] if num_simulated else 0.0
@@ -875,8 +907,13 @@ class VoDClusterSimulator:
                     if not trace_dep_down:
                         trace_dep_down = trace_every
                         traced.append(("departure", event[0], server_id))
+                if waiting:
+                    seq = serve_waiters(event[0], seq)
             else:
                 seq = handle_rare(event, seq)
+        # Waiters still queued at the horizon count as rejected.
+        for _, _, video in waiting:
+            per_video_rejected[video] += 1
         for server in servers:
             server.advance(horizon_min)
         # Servers still down at the horizon accrue downtime to its edge.
@@ -928,23 +965,9 @@ class VoDClusterSimulator:
             decisions,
             crash_records,
             repair_records,
-            retry_admissions,
+            delayed_admissions,
             servers,
             backbones,
             last_event,
         )
         return result, record
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _least_utilized_with_room(
-        servers: list[StreamingServer], rate: float
-    ) -> int | None:
-        """Least-utilized server that can carry one more stream, if any."""
-        best: int | None = None
-        best_util = _INF
-        for server in servers:
-            if server.can_admit(rate) and server.utilization < best_util:
-                best = server.server_id
-                best_util = server.utilization
-        return best

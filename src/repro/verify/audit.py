@@ -4,12 +4,12 @@
 (:meth:`VoDClusterSimulator._run`) — the very loop behind every plain
 ``run()``, so results are bit-identical by construction — and audits the
 :class:`~repro.cluster_sim.simulator.RunRecord` it leaves behind.  From
-the record's per-arrival decision codes and rare-path crash/repair/retry
-records, plus the request columns, every shadow account is
-*reconstructed* vectorized: admission times, hold times and rates (from
-the layout, not from the loop's bookkeeping), crash drops replayed over
-the admission table, and every server's occupancy peak from one grouped
-prefix-sum scan.  The reconstruction is independent of
+the record's per-arrival decision codes and rare-path
+crash/repair/delayed-start records, plus the request columns, every
+shadow account is *reconstructed* vectorized: admission times, hold
+times and rates (from the layout, not from the loop's bookkeeping), crash
+drops replayed over the admission table, and every server's occupancy
+peak from one grouped prefix-sum scan.  The reconstruction is independent of
 ``StreamingServer``'s bookkeeping, which is what lets the auditors catch
 broken release/crash accounting.
 
@@ -432,16 +432,16 @@ def audit_record(
     if "monotonic" in enabled:
         _probe_monotonic(violations, record)
 
-    # Admission table: the arrival-time admissions, then the failover
-    # retry admissions.
+    # Admission table: the arrival-time admissions, then the delayed
+    # ones (failover retries and wait-queue starts).
     adm, sid, red = record.admissions()
     t0 = soa.times.take(adm)
     te = t0 + holds.take(adm)
     vid = soa.videos.take(adm)
-    if record.retry_admissions:
-        # Retry starts interleave the arrivals; a stable merge sort
+    if record.delayed_admissions:
+        # Delayed starts interleave the arrivals; a stable merge sort
         # restores the start-time order the peak reconstruction needs.
-        index, r_t0, r_sid = map(np.array, zip(*record.retry_admissions))
+        index, r_t0, r_sid = map(np.array, zip(*record.delayed_admissions))
         t0 = np.concatenate((t0, r_t0))
         te = np.concatenate((te, r_t0 + holds.take(index)))
         sid = np.concatenate((sid, r_sid.astype(sid.dtype)))

@@ -391,7 +391,7 @@ class TestOneKernel:
 
     def test_decision_codes_past_one_byte(self):
         # N = 130: redirect codes 1 + N + k pass 255, and failover retries
-        # add retry-admission records on top.
+        # add delayed-admission records on top.
         optimized, reference, trace, run_kwargs = build_des(
             des_params(
                 num_servers=130,
@@ -407,13 +407,48 @@ class TestOneKernel:
         )
         _, record = optimized._run(trace, **run_kwargs)
         assert max(record.decisions) > 255
-        assert record.retry_admissions
+        assert record.delayed_admissions
         audited, report = run_audited(
             optimized, trace, auditors=failure_auditors(), **run_kwargs
         )
         assert report.ok, [str(v) for v in report.violations]
         assert audited.same_outcome(reference.run(trace, **run_kwargs))
         assert report.admitted + report.rejected == audited.num_requests
+
+    def test_saturated_queueing_run_audits_clean(self):
+        # The wait queue is a kernel hook: its starts are delayed
+        # admissions, so the audit rebuilds a queueing run unchanged.
+        from repro import ZipfPopularity
+        from repro.cluster_sim import QueueingClusterSimulator
+        from repro.placement import smallest_load_first_placement
+        from repro.replication import zipf_interval_replication
+        from repro.workload import WorkloadGenerator
+
+        pop = ZipfPopularity(40, 0.75)
+        cluster = ClusterSpec.homogeneous(
+            4, storage_gb=100.0, bandwidth_mbps=120.0
+        )
+        videos = VideoCollection.homogeneous(40, duration_min=20.0)
+        layout = smallest_load_first_placement(
+            zipf_interval_replication(pop.probabilities, 4, 60), 15
+        )
+        trace = WorkloadGenerator.poisson_zipf(pop, 6.0).generate(
+            60.0, np.random.default_rng(7)
+        )
+        kernel = VoDClusterSimulator(cluster, videos, layout)
+        result, record = kernel._run(
+            trace, horizon_min=60.0, patience_min=2.0
+        )
+        queued = QueueingClusterSimulator(
+            cluster, videos, layout, patience_min=2.0
+        ).run(trace, horizon_min=60.0)
+        assert result.same_outcome(queued.base)
+        assert queued.num_queued_served > 0
+        assert queued.num_defected > 0
+        assert len(record.delayed_admissions) == queued.num_queued_served
+        report = audit_record(kernel, result, record, standard_auditors())
+        assert report.ok, [str(v) for v in report.violations]
+        assert report.admitted == result.num_served
 
     def test_repair_before_crash_flagged(self):
         optimized, _, trace, run_kwargs = build_des(des_params(failures=True))
