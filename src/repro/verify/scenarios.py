@@ -527,6 +527,7 @@ def build_serving(params: dict):
         drift_threshold=float(params["drift_threshold"]),
         tracker_alpha=float(params["tracker_alpha"]),
         move_budget=None if move_budget is None else int(move_budget),
+        anneal_polish=bool(params.get("anneal_polish", False)),
         screen=bool(params.get("screen", False)),
         elastic=bool(params.get("elastic", False)),
         slo_rejection_rate=float(params["slo_rejection_rate"]),

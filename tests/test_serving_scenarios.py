@@ -31,6 +31,7 @@ def load(path: Path) -> dict:
 def test_scenario_corpus_is_seeded():
     names = {path.stem for path in SCENARIOS}
     assert {
+        "anneal_polish_drift",
         "popularity_inversion",
         "flash_crowd_peak",
         "rack_failure_migration",
@@ -90,6 +91,50 @@ def test_rack_failure_scenario_sees_failures_and_stays_in_budget():
         ServingControlPlane(frozen).run().snapshots, chain_batch_epochs(frozen)
     ):
         assert snapshot.result.same_outcome(batch)
+
+
+def test_anneal_polish_scenario_adopts_polished_layouts():
+    payload = load(SCENARIO_DIR / "anneal_polish_drift.json")
+    config = build_serving(payload["params"])
+    assert config.anneal_polish and config.drift is not None
+    assert config.flash_epochs and config.move_budget is not None
+    result = ServingControlPlane(config).run()
+    assert result.replans >= 2
+    assert all(
+        s.replicas_copied <= config.move_budget for s in result.snapshots
+    )
+
+
+#: Digests of two 24-epoch runs of the serve-diurnal benchmark
+#: configuration (drift, move budget, SA polish, screen, elasticity).
+SERVE_DIURNAL_PINS = {
+    0: "96bca1da02c6a8c3981be915da779bc487997d2622be984203c4c15b60604939",
+    7: "4d30661883433a6fc158d13c869fb87aa7f63fcab7c0eb3d15bc6efc285ec338",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SERVE_DIURNAL_PINS))
+def test_short_serve_diurnal_run_replays_to_pinned_digest(seed):
+    from repro.serving import ServingConfig, parse_drift
+
+    config = ServingConfig(
+        epochs=24,
+        day_epochs=8,
+        base_rate_per_min=15.0,
+        peak_rate_per_min=45.0,
+        flash_epochs=(5, 17),
+        drift=parse_drift("rankswap:10"),
+        replan="drift",
+        move_budget=60,
+        anneal_polish=True,
+        screen=True,
+        elastic=True,
+        engine="vector",
+        seed=seed,
+    )
+    result = ServingControlPlane(config).run()
+    assert result.replans >= 3
+    assert result.digest() == SERVE_DIURNAL_PINS[seed]
 
 
 @pytest.mark.fuzz
