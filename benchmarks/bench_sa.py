@@ -1,8 +1,9 @@
 """E5 — the scalable-bit-rate simulated-annealing study.
 
-Times the full SA pipeline (chains + evaluation) at paper scale and writes
-``results/sa_experiment.txt``.  Also microbenchmarks the SA kernel
-(cost evaluation and one proposal) since they dominate the run.
+Times the full SA pipeline (chains, evaluation and the E5b weight
+sensitivity) and writes ``results/sa.txt``, the same table as ``python -m
+repro.experiments sa --quick``.  Also microbenchmarks the SA kernel (cost
+evaluation and one proposal) since they dominate the run.
 """
 
 import numpy as np
@@ -10,25 +11,26 @@ import pytest
 
 from conftest import emit
 from repro.annealing import ScalableBitRateProblem
-from repro.experiments.sa_experiment import format_sa_report, run_sa_experiment
+from repro.experiments.sa_experiment import (
+    QUICK_SA,
+    QUICK_SENSITIVITY,
+    format_sa_tables,
+    run_sa_experiment,
+    run_weight_sensitivity,
+)
 
 
 @pytest.mark.benchmark(group="figures")
 def test_sa_experiment(benchmark, bench_setup, results_dir):
-    results = benchmark.pedantic(
-        run_sa_experiment,
-        kwargs=dict(
-            setup=bench_setup,
-            num_chains=2,
-            steps_per_level=150,
-            max_levels=60,
-            num_runs=3,
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    def body():
+        return (
+            run_sa_experiment(bench_setup, **QUICK_SA),
+            run_weight_sensitivity(bench_setup, **QUICK_SENSITIVITY),
+        )
+
+    results, sensitivity = benchmark.pedantic(body, rounds=1, iterations=1)
     assert results["best_objective"] > results["initial_objective"]
-    emit(results_dir, "sa_experiment", format_sa_report(results))
+    emit(results_dir, "sa", format_sa_tables(results, sensitivity))
 
 
 @pytest.mark.benchmark(group="sa-kernel")

@@ -30,6 +30,7 @@ __all__ = [
     "format_sa_report",
     "run_weight_sensitivity",
     "format_weight_sensitivity",
+    "format_sa_tables",
 ]
 
 
@@ -263,19 +264,26 @@ def format_weight_sensitivity(rows: list[dict]) -> str:
     )
 
 
+def format_sa_tables(results: dict, sensitivity: list[dict]) -> str:
+    """The E5 report followed by the E5b table (the ``sa`` CLI output)."""
+    return format_sa_report(results) + "\n\n" + format_weight_sensitivity(sensitivity)
+
+
+#: Annealing budgets of the ``--quick`` tables; ``benchmarks/bench_sa.py``
+#: times the same run and writes the same ``results/sa.txt``.
+QUICK_SA = {"num_chains": 2, "steps_per_level": 120, "max_levels": 50}
+QUICK_SENSITIVITY = {"steps_per_level": 80, "max_levels": 40}
+
+
 def main(quick: bool = False, chart: bool = False) -> str:
     """CLI entry point; returns the formatted report (tables only)."""
     del chart  # no natural curve view for this report
     if quick:
         setup = PaperSetup().quick(num_runs=3)
-        results = run_sa_experiment(
-            setup, num_chains=2, steps_per_level=120, max_levels=50
-        )
-        sensitivity = run_weight_sensitivity(
-            setup, steps_per_level=80, max_levels=40
-        )
+        results = run_sa_experiment(setup, **QUICK_SA)
+        sensitivity = run_weight_sensitivity(setup, **QUICK_SENSITIVITY)
     else:
         setup = PaperSetup()
         results = run_sa_experiment(setup)
         sensitivity = run_weight_sensitivity(setup)
-    return format_sa_report(results) + "\n\n" + format_weight_sensitivity(sensitivity)
+    return format_sa_tables(results, sensitivity)
