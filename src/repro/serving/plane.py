@@ -400,9 +400,13 @@ class ServingControlPlane:
     ) -> tuple[ReplicaLayout, int] | None:
         """Warm-start SA from the migrated layout; returns the annealed
         layout and its copy count vs the deployed layout, or ``None``
-        when polish is infeasible (the engine's incumbent guarantee means
+        when a video of the migrated layout has no replica (the Eq. 1
+        cost is then undefined).  The engine's incumbent guarantee means
         the annealed layout is never worse than the migrated one under
-        the Eq. 1 objective)."""
+        the Eq. 1 objective.  A migrated layout that breaks a server's
+        storage or bandwidth constraint is still annealed: every accepted
+        move lands on a state that satisfies all servers, and when none
+        is accepted the migrated layout itself comes back."""
         from ..annealing import ScalableBitRateProblem, SimulatedAnnealer
         from ..model.problem import ReplicationProblem
         from ..popularity import PopularityModel
@@ -443,8 +447,8 @@ class ServingControlPlane:
                 record_history=False,
             )
         except ValueError:
-            # The incumbent violates the SA problem's feasibility (e.g.
-            # an overloaded interim cluster); skip the polish this epoch.
+            # The annealer raises only when a video has lost its last
+            # replica (Eq. 7); skip the polish this epoch.
             return None
         presence = result.best_state[inverse] > 0
         layout = ReplicaLayout(

@@ -3,9 +3,10 @@
 The incremental context must (a) evaluate each move's cost delta within
 float-accumulation tolerance of a full recompute, (b) restore the state
 *bitwise* on rollback, (c) consume the rng identically to the full path,
-and (d) drive the engine to comparable solutions at a large speedup.  The
+(d) keep its per-server holder lists equal to the matrix's nonzero rows,
+and (e) drive the engine to comparable solutions at a large speedup.  The
 full-recompute loop remains available via ``use_incremental=False`` and is
-the behavior oracle throughout.
+the behavior oracle throughout, calibration walk included.
 """
 
 from __future__ import annotations
@@ -22,10 +23,17 @@ from repro.annealing import (
 from repro.model.problem import ReplicationProblem
 
 
-def make_problem(num_videos=40, num_servers=4, storage_gb=30.0):
-    popularity = ZipfPopularity(num_videos, 0.75)
+def make_problem(
+    num_videos=40,
+    num_servers=4,
+    storage_gb=30.0,
+    bandwidth_mbps=900.0,
+    rates=(1.5, 3.0, 4.0, 6.0),
+    theta=0.75,
+):
+    popularity = ZipfPopularity(num_videos, theta)
     cluster = ClusterSpec.homogeneous(
-        num_servers, storage_gb=storage_gb, bandwidth_mbps=900.0
+        num_servers, storage_gb=storage_gb, bandwidth_mbps=bandwidth_mbps
     )
     videos = VideoCollection.homogeneous(num_videos)
     problem = ReplicationProblem(
@@ -34,9 +42,52 @@ def make_problem(num_videos=40, num_servers=4, storage_gb=30.0):
         popularity,
         arrival_rate_per_min=20.0,
         peak_minutes=90.0,
-        allowed_bit_rates_mbps=(1.5, 3.0, 4.0, 6.0),
+        allowed_bit_rates_mbps=rates,
     )
     return ScalableBitRateProblem(problem)
+
+
+RATE_SETS = {
+    "2-rates": (1.5, 3.0),
+    "3-rates": (1.5, 3.0, 6.0),
+    "4-rates": (1.5, 3.0, 4.0, 6.0),
+}
+#: (storage GB, bandwidth Mb/s) per server for 24 homogeneous 90-minute
+#: videos (0.675 GB per Mb/s) at 20 requests/min over a 90-minute peak.
+BOUNDS = {
+    # Server 0's 24 lowest-rate replicas fill 24.3 of 26 GB.
+    "storage-bound": (26.0, 20_000.0),
+    # Server 0 carries 1,597 of 1,600 Mb/s.
+    "bandwidth-bound": (200.0, 1_600.0),
+}
+
+
+def edge_instance(rates, bound):
+    """A feasible start with the two edge servers of the neighborhood:
+    server 0 holds every video (no add move) and server 1 holds only
+    top-rate replicas (no raise move)."""
+    storage_gb, bandwidth_mbps = BOUNDS[bound]
+    sa = make_problem(
+        num_videos=24,
+        num_servers=4,
+        storage_gb=storage_gb,
+        bandwidth_mbps=bandwidth_mbps,
+        rates=rates,
+    )
+    state = np.zeros((24, 4))
+    state[:, 0] = sa.min_rate
+    state[1:4, 1] = sa.max_rate
+    state[4:14, 2] = sa.min_rate
+    state[14:, 3] = sa.min_rate
+    assert sa._violating_servers(state).size == 0
+    return sa, state
+
+
+def assert_holders_match(context):
+    state = context.export_state()
+    for server, holders in enumerate(context._holders):
+        assert holders == np.flatnonzero(state[:, server] > 0).tolist()
+    np.testing.assert_array_equal(np.array(context._cols).T, state)
 
 
 class TestDeltaCrossCheck:
@@ -97,6 +148,163 @@ class TestDeltaCrossCheck:
         assert context.cost() == pytest.approx(
             sa.cost(context.export_state()), abs=1e-12
         )
+
+
+class TestHolderIndexParity:
+    @pytest.mark.parametrize("bound", sorted(BOUNDS))
+    @pytest.mark.parametrize("rates", sorted(RATE_SETS))
+    def test_state_agrees_with_full_path_after_every_step(self, rates, bound):
+        sa, state = edge_instance(RATE_SETS[rates], bound)
+        context = sa.make_incremental(state)
+        full_state = state.copy()
+        moved = repaired = 0
+        for i in range(400):
+            seed = 9_000 + i
+            neighbor = sa.propose(full_state, np.random.default_rng(seed))
+            delta = context.propose(np.random.default_rng(seed))
+            assert (delta is None) == (neighbor is None)
+            if neighbor is not None:
+                moved += 1
+                repaired += len(context._log) > 1  # the repair shed
+                if i % 3:
+                    full_state = neighbor
+                    context.commit()
+                else:
+                    context.rollback()
+            np.testing.assert_array_equal(context.export_state(), full_state)
+            assert_holders_match(context)
+        assert moved > 100 and repaired > 0
+
+    def test_holder_lists_after_rollback_and_resync(self):
+        sa, state = edge_instance(RATE_SETS["3-rates"], "storage-bound")
+        context = sa.make_incremental(state)
+        rng = np.random.default_rng(21)
+        rolled_back = 0
+        for i in range(300):
+            if context.propose(rng) is None:
+                continue
+            if i % 2:
+                context.commit()
+            else:
+                context.rollback()
+                rolled_back += 1
+                assert_holders_match(context)
+        assert rolled_back > 50
+        context.resync()
+        assert_holders_match(context)
+
+    def test_cached_cost_survives_commit_and_rollback(self):
+        sa = make_problem()
+        context = sa.make_incremental(sa.initial_state(np.random.default_rng(4)))
+        rng = np.random.default_rng(5)
+        for i in range(200):
+            before = context.cost()
+            delta = context.propose(rng)
+            if delta is None:
+                assert context.cost() == before
+                continue
+            if i % 2:
+                context.commit()
+                assert context.cost() == pytest.approx(before + delta, abs=1e-12)
+            else:
+                context.rollback()
+                assert context.cost() == before
+            assert context.cost() == pytest.approx(
+                sa.cost(context.export_state()), abs=1e-9
+            )
+
+
+class _ScriptedRng:
+    """Stands in for a Generator: ``integers`` returns scripted draws."""
+
+    def __init__(self, *draws):
+        self._draws = list(draws)
+        self.bounds = []
+
+    def integers(self, bound):
+        self.bounds.append(bound)
+        return self._draws.pop(0)
+
+
+class TestMoveSelection:
+    """The shared selection helpers against the paper's neighborhood."""
+
+    def setup_method(self):
+        self.sa = make_problem(num_videos=8, rates=(1.5, 3.0, 6.0))
+        self.column = [0.0, 1.5, 0.0, 6.0, 3.0, 0.0, 1.5, 0.0]
+        self.holders = [1, 3, 4, 6]
+
+    def test_add_picks_the_kth_absent_video(self):
+        absent = [0, 2, 5, 7]
+        for k, video in enumerate(absent):
+            rng = _ScriptedRng(1, k)  # move kind 1 = add
+            assert self.sa._choose_move(self.column, self.holders, rng) == (
+                video, 1.5,
+            )
+            assert rng.bounds == [2, len(absent)]
+
+    def test_raise_steps_one_rate_up_among_raisable_holders(self):
+        # Video 3 is at the top rate, so the raisable list is [1, 4, 6].
+        for k, (video, value) in enumerate([(1, 3.0), (4, 6.0), (6, 3.0)]):
+            rng = _ScriptedRng(0, k)
+            assert self.sa._choose_move(self.column, self.holders, rng) == (
+                video, value,
+            )
+            assert rng.bounds == [2, 3]
+
+    def test_single_move_kind_still_draws_the_kind(self):
+        full = [1.5] * 8
+        rng = _ScriptedRng(0, 2)
+        assert self.sa._choose_move(full, list(range(8)), rng) == (2, 3.0)
+        assert rng.bounds == [1, 8]
+        top = [6.0] * 8
+        assert self.sa._choose_move(top, list(range(8)), _ScriptedRng()) is None
+
+    def test_shed_lowers_the_lowest_rate_replica_first(self):
+        counts = [1] * 8
+        # Lowest rates 1.5 (videos 1 and 6, ascending id on ties) are the
+        # last replicas at the floor (Eq. 7), so video 4 drops 3 -> 1.5.
+        assert self.sa._choose_shed(self.column, self.holders, counts, 3) == (
+            4, 1.5,
+        )
+        counts[6] = 2
+        assert self.sa._choose_shed(self.column, self.holders, counts, 3) == (
+            6, 0.0,
+        )
+        counts[1] = 2
+        assert self.sa._choose_shed(self.column, self.holders, counts, 3) == (
+            1, 0.0,
+        )
+        # The protected video is never shed.
+        assert self.sa._choose_shed(self.column, self.holders, counts, 1) == (
+            6, 0.0,
+        )
+        assert self.sa._choose_shed([0.0, 1.5], [1], [1, 1], 0) is None
+
+
+class TestCalibrationParity:
+    @pytest.mark.parametrize(
+        "sa",
+        [
+            make_problem(),
+            # Uniform popularity: many moves leave the cost exactly
+            # unchanged, the case cached deltas would turn uphill.
+            make_problem(theta=0.0, rates=(1.5, 3.0)),
+            edge_instance(RATE_SETS["2-rates"], "bandwidth-bound")[0],
+        ],
+        ids=["zipf", "uniform", "bandwidth-bound"],
+    )
+    def test_context_walk_gives_the_full_walk_t0(self, sa):
+        annealer = SimulatedAnnealer(steps_per_level=10, max_levels=2)
+        state = sa.initial_state(np.random.default_rng(0))
+        for seed in range(8):
+            full = annealer._calibrate_schedule(
+                sa, state, np.random.default_rng(seed)
+            ).temperature(0)
+            incremental = annealer._calibrate_schedule(
+                sa, state, np.random.default_rng(seed), incremental=True
+            ).temperature(0)
+            assert incremental == pytest.approx(full, rel=1e-12)
 
 
 class TestEngineIncremental:

@@ -564,6 +564,43 @@ class TestWarmStartAnnealing:
         ).run(problem, np.random.default_rng(1), initial_state=state)
         np.testing.assert_array_equal(state, before)
 
+    @pytest.mark.parametrize("use_incremental", [True, False])
+    @pytest.mark.parametrize("overloaded", ["one-server", "every-server"])
+    def test_violating_incumbent_returns_itself_or_a_feasible_state(
+        self, overloaded, use_incremental
+    ):
+        # The serving polish warm-starts from whatever the migration
+        # produced, which may break a server's storage or bandwidth
+        # constraint.  Every accepted move passes the all-server check,
+        # so the best state is the incumbent itself or a feasible one.
+        from repro.annealing import SimulatedAnnealer
+
+        problem = self.make_problem()
+        incumbent = problem.initial_state(np.random.default_rng(0))
+        if overloaded == "one-server":
+            incumbent[::3, 0] = problem.max_rate
+        else:
+            incumbent[incumbent > 0] = problem.max_rate
+        violating = problem._violating_servers(incumbent).size
+        assert violating == (1 if overloaded == "one-server" else 3)
+        annealer = SimulatedAnnealer(
+            steps_per_level=20, max_levels=4, patience_levels=0
+        )
+        for seed in range(3):
+            result = annealer.run(
+                problem,
+                np.random.default_rng(seed),
+                initial_state=incumbent,
+                use_incremental=use_incremental,
+            )
+            best = result.best_state
+            assert np.array_equal(best, incumbent) or (
+                problem._violating_servers(best).size == 0
+            )
+            if overloaded == "one-server":
+                assert result.accepted > 0
+                assert problem._violating_servers(best).size == 0
+
     def test_warm_start_paths_agree_across_engines(self):
         from repro.annealing import SimulatedAnnealer
 
