@@ -21,27 +21,40 @@ timeline can be replayed independently as array operations:
 1. **Assignment sweep** — per-video occurrence ranks over the arrival
    columns give each request its round-robin holder in one stable sort,
    gathered from the layout's cached ``holder_index``.
-2. **Admission sandwich** — per server, admission decisions are bracketed
-   between two monotone occupancy bounds (all-undecided-admitted vs
-   all-undecided-rejected, both one ``cumsum`` over the merged
-   arrival/departure event order); a request certainly fits under the
-   high bound or certainly overflows under the low bound, and the
-   earliest undecided request always resolves, so the iteration
-   converges — typically in one round on unsaturated servers.
-3. **Exact replay** — with decisions fixed, the server's running
-   occupancy is one ``np.cumsum`` over the admitted ±rate deltas in
-   event order.  ``cumsum`` is a sequential left fold, so every partial
-   sum is bit-for-bit the scalar loop's ``used_mbps`` sequence; the load
-   integral, peak and admission checks are re-derived from it with the
-   same float operations (``x + 0.0`` terms for skipped zero-dt touches
-   are IEEE identities, so unconditional adds stay exact).
-4. **Verification** — the replay re-checks every decision against the
-   exact occupancies and that no departure drives a server negative
-   (the scalar loops clamp float residue there).  Any mismatch — e.g. a
-   mixed-rate layout whose residues would clamp — falls back to a
-   per-server scalar replay that mirrors the optimized loop's arithmetic
-   operation for operation, so the engine is exact-or-fallback, never
-   approximately vectorized.
+2. **Event grid** — one ``np.lexsort`` keyed by (server, time, phase,
+   arrival index, arrival before departure) orders every arrival and
+   in-horizon departure of the run, and the sorted events are scattered
+   into a zero-padded ``(num_servers, longest row)`` grid, one row per
+   server.  Every later step is a whole-grid operation along ``axis=1``;
+   padding cells carry a zero delta and a "rejected" status, so they
+   never touch a row's sums.  The grid holds ``num_servers`` times the
+   busiest server's event count, which bounds the engine's extra
+   memory.
+3. **Admission sandwich** — admission decisions are bracketed between
+   two monotone occupancy bounds (all-undecided-admitted vs
+   all-undecided-rejected, each one row-wise ``cumsum``); a request
+   certainly fits under the high bound or certainly overflows under the
+   low bound, and the earliest undecided request always resolves, so
+   the iteration converges — typically in one round on unsaturated
+   servers.  A row that makes no progress in a round, or is still open
+   after ``_MAX_ROUNDS`` productive rounds (sustained saturation), is
+   marked for the scalar fallback and drops out of later rounds.
+4. **Exact replay and verification** — with decisions fixed, each
+   server's running occupancy is one row of ``np.cumsum(..., axis=1)``
+   over the admitted ±rate deltas in event order.  ``cumsum`` is a
+   sequential left fold per row, so every partial sum is bit-for-bit
+   the scalar loop's ``used_mbps`` sequence; the load integral, peak
+   and admission checks are re-derived from it with the same float
+   operations (``x + 0.0`` terms for untouched cells and skipped
+   zero-dt touches are IEEE identities, so unconditional adds stay
+   exact).  The replay re-checks every decision against the exact
+   occupancies and that no departure drives a server negative (the
+   scalar loops clamp float residue there).  A row that fails either
+   check — e.g. a mixed-rate layout whose residues would clamp — joins
+   the fallback mask, and only those servers are replayed by
+   :meth:`VectorClusterSimulator._scalar_server`, which mirrors the
+   optimized loop's arithmetic operation for operation.  The engine is
+   exact-or-fallback, never approximately vectorized.
 
 Configurations outside the decomposition (dynamic dispatchers couple
 servers through load inspection, chaos mutates replica state, the
@@ -57,6 +70,7 @@ from __future__ import annotations
 
 import time
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +84,9 @@ __all__ = ["VectorClusterSimulator"]
 
 _EPS_MBPS = 1e-6
 
-#: Admission-sandwich round budget per server; servers that resolve
-#: slower (sustained saturation) take the exact scalar fallback instead.
+#: Admission-sandwich budget of productive rounds per server; servers
+#: still undecided after it (sustained saturation) take the exact scalar
+#: fallback instead.
 _MAX_ROUNDS = 24
 
 
@@ -94,17 +109,48 @@ def _occurrence_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _sort_key(values: np.ndarray, bound: int) -> np.ndarray:
+    """*values* (all below *bound*) in the narrowest unsigned dtype.
+
+    numpy's stable sort radix-sorts 8- and 16-bit keys, several times
+    faster than its merge sort on the int64 originals, in the same order.
+    """
+    return values.astype(np.min_scalar_type(bound))
+
+
+def _partial_sums(deltas: np.ndarray):
+    """Each row's left fold of *deltas*: the sums before and after each cell.
+
+    ``np.cumsum(..., axis=1)`` is a sequential left fold per row, so every
+    partial sum is bit for bit the scalar loop's running value.
+    """
+    sums = np.zeros((deltas.shape[0], deltas.shape[1] + 1))
+    np.cumsum(deltas, axis=1, out=sums[:, 1:])
+    return sums[:, :-1], sums[:, 1:]
+
+
 class _ServerOutcome:
-    """Per-server replay result (admissions plus closed-out metrics)."""
+    """One server's scalar replay (admissions plus closed-out metrics)."""
 
-    __slots__ = ("admitted", "served", "peak", "integral", "deps_processed")
+    __slots__ = ("admitted", "peak", "integral", "deps_processed")
 
-    def __init__(self, admitted, served, peak, integral, deps_processed):
+    def __init__(self, admitted, peak, integral, deps_processed):
         self.admitted = admitted
-        self.served = served
         self.peak = peak
         self.integral = integral
         self.deps_processed = deps_processed
+
+
+class _GridOutcome(NamedTuple):
+    """The grid replay: per-request admissions, per-server metrics and the
+    servers whose rows must take the scalar fallback instead (their
+    entries in the other fields are meaningless)."""
+
+    admitted: np.ndarray
+    peak: np.ndarray
+    integral: np.ndarray
+    deps_processed: np.ndarray
+    failed: np.ndarray
 
 
 class VectorClusterSimulator(VoDClusterSimulator):
@@ -199,47 +245,37 @@ class VectorClusterSimulator(VoDClusterSimulator):
         ts = times[serveable]
         ends = ts + holds[serveable]
         if vs.size:
-            occ = _occurrence_ranks(vs)
+            occ = _occurrence_ranks(_sort_key(vs, num_videos))
             replica = indptr[vs] + occ % hcounts[vs]
             sid = holders[replica]
             rates = replica_rates[replica]
-        else:
-            sid = np.zeros(0, dtype=np.int64)
-            rates = np.zeros(0)
-
-        admitted_sub = np.zeros(vs.size, dtype=bool)
-        server_peak = np.zeros(num_servers)
-        server_integral = np.zeros(num_servers)
-        server_served = np.zeros(num_servers, dtype=np.int64)
-        deps_processed = 0
-        fallback_servers = 0
-
-        if vs.size:
-            order_s = np.argsort(sid, kind="stable")
-            counts = np.bincount(sid, minlength=num_servers)
-            bounds = np.zeros(num_servers + 1, dtype=np.intp)
-            np.cumsum(counts, out=bounds[1:])
-            for k in range(num_servers):
-                a, b = int(bounds[k]), int(bounds[k + 1])
-                if a == b:
-                    continue
-                sel = order_s[a:b]
-                cap = float(bandwidth[k])
-                maxs = limits[k] if limits is not None else None
-                outcome = self._solve_server(
-                    ts[sel], rates[sel], ends[sel], cap, maxs, horizon_min
+            grid = self._solve_grid(sid, ts, rates, ends, horizon_min)
+            admitted_sub = grid.admitted
+            server_peak = grid.peak
+            server_integral = grid.integral
+            server_deps = grid.deps_processed
+            fallback = np.flatnonzero(grid.failed)
+            for k in fallback.tolist():
+                sel = np.flatnonzero(sid == k)
+                outcome = self._scalar_server(
+                    ts[sel], rates[sel], ends[sel], float(bandwidth[k]),
+                    limits[k] if limits is not None else None, horizon_min,
                 )
-                if outcome is None:
-                    fallback_servers += 1
-                    outcome = self._scalar_server(
-                        ts[sel], rates[sel], ends[sel], cap, maxs,
-                        horizon_min,
-                    )
                 admitted_sub[sel] = outcome.admitted
-                server_served[k] = outcome.served
                 server_peak[k] = outcome.peak
                 server_integral[k] = outcome.integral
-                deps_processed += outcome.deps_processed
+                server_deps[k] = outcome.deps_processed
+            fallback_servers = int(fallback.size)
+            deps_processed = int(server_deps.sum())
+        else:
+            sid = np.zeros(0, dtype=np.int64)
+            admitted_sub = np.zeros(0, dtype=bool)
+            server_peak = np.zeros(num_servers)
+            server_integral = np.zeros(num_servers)
+            fallback_servers = deps_processed = 0
+        server_served = np.bincount(
+            sid[admitted_sub], minlength=num_servers
+        ).astype(np.int64, copy=False)
 
         rejected = np.ones(n, dtype=bool)
         serveable_idx = np.flatnonzero(serveable)
@@ -261,156 +297,152 @@ class VectorClusterSimulator(VoDClusterSimulator):
             num_redirected=0,
             streams_dropped=0,
             num_truncated=soa.num_truncated,
-            num_events=int(n) + int(deps_processed),
+            num_events=int(n) + deps_processed,
             wall_time_sec=time.perf_counter() - start_wall,
             batched_servers=num_servers - fallback_servers,
             fallback_servers=fallback_servers,
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _merged_events(at, ar, ae, horizon):
-        """One server's tentative event order, matching the heap's rules.
+    def _solve_grid(self, sid, ts, rates, ends, horizon) -> _GridOutcome:
+        """Replay every server at once, one grid row per server.
 
-        Departures at time ``d`` are processed before an arrival at ``t``
-        whenever ``d <= t`` — except a zero-hold stream's own departure,
-        which is pushed only when its arrival is admitted and so pops
-        just after it.  Equal-time departures pop in admission (seq)
-        order.  Departures past the horizon are never popped and carry
-        their bandwidth to the edge; they are left out entirely.
+        *sid*, *ts*, *rates* and *ends* describe the dispatched requests
+        in arrival order: server, arrival time, replica rate and
+        departure time.
         """
-        na = at.size
-        dep = np.flatnonzero(ae <= horizon)
-        ev_time = np.concatenate((at, ae[dep]))
-        ev_aidx = np.concatenate((np.arange(na, dtype=np.intp), dep))
-        ev_is_arr = np.zeros(ev_time.size, dtype=bool)
-        ev_is_arr[:na] = True
-        # phase 0: departures popped before same-time arrivals; phase 1:
-        # arrivals interleaved with their own zero-hold departures.
-        phase = np.ones(ev_time.size, dtype=np.int8)
-        phase[na:] = (ae[dep] == at[dep]).astype(np.int8)
-        sub = np.zeros(ev_time.size, dtype=np.int8)
-        sub[na:] = 1
-        order = np.lexsort((sub, ev_aidx, phase, ev_time))
-        return (
-            ev_time[order],
-            ev_aidx[order],
-            ev_is_arr[order],
-            ar[ev_aidx[order]],
+        num_servers = self._cluster.num_servers
+        na = sid.size
+        limits = self._stream_limits
+
+        # Event order, matching the heap's rules.  Departures at time
+        # ``d`` are processed before an arrival at ``t`` whenever
+        # ``d <= t`` (phase 0) — except a zero-hold stream's own
+        # departure, which is pushed only when its arrival is admitted
+        # and so pops just after it (phase 1, like every arrival).
+        # Equal-time departures pop in admission order.  Departures past
+        # the horizon are never popped and carry their bandwidth to the
+        # edge; they are left out entirely.  Under (server, time) the
+        # ``tie`` key orders by phase, then arrival index, then arrival
+        # before departure, folded into one integer.
+        dep = np.flatnonzero(ends <= horizon)
+        dep_t = ends[dep]
+        n_ev = na + dep.size
+        ev_server = np.concatenate((sid, sid[dep]))
+        ev_time = np.concatenate((ts, dep_t, [0.0]))
+        ev_aidx = np.concatenate((np.arange(na), dep, [na]))
+        ev_signed = np.concatenate((rates, -rates[dep], [0.0]))
+        tie = 2 * np.concatenate(
+            (ev_aidx[:na] + na, dep + na * (dep_t == ts[dep]))
+        )
+        tie[na:] += 1
+        order = np.lexsort(
+            (tie, ev_time[:n_ev], _sort_key(ev_server, num_servers))
         )
 
-    # ------------------------------------------------------------------
-    def _solve_server(self, at, ar, ae, cap, maxs, horizon):
-        """Vectorized replay of one server; ``None`` -> scalar fallback."""
-        time_o, aidx_o, isarr_o, rate_o = self._merged_events(
-            at, ar, ae, horizon
-        )
-        signed = np.where(isarr_o, rate_o, -rate_o)
-        arr_pos = np.flatnonzero(isarr_o)
-        na = at.size
-        eps = _EPS_MBPS
-        check_streams = maxs is not None
-        if check_streams:
-            signed_st = np.where(isarr_o, 1, -1)
+        # Scatter the sorted events into a zero-padded (server x longest
+        # row) grid of indices into the event columns; padding cells
+        # point at each column's trailing sentinel (arrival index ``na``,
+        # whose status is "rejected", and a zero delta).
+        counts = np.bincount(ev_server, minlength=num_servers)
+        width = int(counts.max())
+        row = ev_server[order]
+        col = np.arange(n_ev) - (np.cumsum(counts) - counts)[row]
+        src = np.full(num_servers * width, n_ev)
+        src[row * width + col] = order
+        src = src.reshape(num_servers, width)
+        g_isarr = src < na
+        g_aidx = ev_aidx[src]
+        g_signed = ev_signed[src]
+        capeps = (self._cluster.bandwidth_mbps + _EPS_MBPS)[:, None]
+        if limits is not None:
+            g_streams = np.where(g_isarr, 1, -1)
+            maxs = np.asarray(limits)[:, None]
 
         # Admission sandwich: bracket undecided requests between the
         # all-undecided-admitted (high) and all-undecided-rejected (low)
         # occupancy bounds; occupancy is monotone in the admitted set, so
         # passing under high / overflowing under low is definitive.  The
         # earliest undecided request sees coinciding bounds and always
-        # resolves, so the loop terminates; the round budget bails to the
-        # scalar fallback on slow (saturated) servers instead of looping.
-        status = np.zeros(na, dtype=np.int8)  # 0 open, 1 admit, 2 reject
-        status[~(ar > 0.0)] = 2
+        # resolves.  A row that makes no progress, or is still open after
+        # ``_MAX_ROUNDS`` productive rounds (a saturated server), is
+        # marked for the scalar fallback and drops out of later rounds.
+        status = np.zeros(na + 1, dtype=np.int8)  # 0 open, 1 admit, 2 reject
+        status[:na][~(rates > 0.0)] = 2
+        status[na] = 2
+        failed = np.zeros(num_servers, dtype=bool)
+        rows = np.arange(num_servers)
         for _ in range(_MAX_ROUNDS):
-            open_mask = status == 0
-            if not open_mask.any():
+            if not rows.size:
                 break
-            stat_ev = status[aidx_o]
-            inc_high = stat_ev != 2
-            inc_low = stat_ev == 1
-            run_high = np.cumsum(np.where(inc_high, signed, 0.0))
-            run_low = np.cumsum(np.where(inc_low, signed, 0.0))
-            before_high = np.concatenate(([0.0], run_high))[arr_pos]
-            before_low = np.concatenate(([0.0], run_low))[arr_pos]
-            ok_high = before_high + ar <= cap + eps
-            bad_low = before_low + ar > cap + eps
-            if check_streams:
-                st_high = np.cumsum(np.where(inc_high, signed_st, 0))
-                st_low = np.cumsum(np.where(inc_low, signed_st, 0))
-                ok_high &= np.concatenate(([0], st_high))[arr_pos] < maxs
-                bad_low |= np.concatenate(([0], st_low))[arr_pos] >= maxs
-            newly_adm = open_mask & ok_high
-            newly_rej = open_mask & bad_low & ~ok_high
-            if not (newly_adm.any() or newly_rej.any()):
-                return None
-            status[newly_adm] = 1
-            status[newly_rej] = 2
-        else:
-            return None
+            aidx = g_aidx[rows]
+            signed = g_signed[rows]
+            cap = capeps[rows]
+            stat = status[aidx]
+            open_ = g_isarr[rows] & (stat == 0)
+            inc_high = stat != 2
+            inc_low = stat == 1
+            high, _ = _partial_sums(np.where(inc_high, signed, 0.0))
+            low, _ = _partial_sums(np.where(inc_low, signed, 0.0))
+            ok_high = high + signed <= cap
+            bad_low = low + signed > cap
+            if limits is not None:
+                streams = g_streams[rows]
+                st_high = np.where(inc_high, streams, 0)
+                st_low = np.where(inc_low, streams, 0)
+                ok_high &= np.cumsum(st_high, axis=1) - st_high < maxs[rows]
+                bad_low |= np.cumsum(st_low, axis=1) - st_low >= maxs[rows]
+            newly_adm = open_ & ok_high
+            newly_rej = open_ & bad_low & ~ok_high
+            status[aidx[newly_adm]] = 1
+            status[aidx[newly_rej]] = 2
+            decided = newly_adm | newly_rej
+            progressed = decided.any(axis=1)
+            pending = (open_ & ~decided).any(axis=1)
+            failed[rows[pending & ~progressed]] = True
+            rows = rows[pending & progressed]
+        failed[rows] = True
 
-        admitted = status == 1
         # Exact replay over the decided set: admitted events carry their
-        # deltas, rejected-but-serveable arrivals ride along as zero-delta
-        # probes so their rejection can be re-checked against the exact
-        # state, and everything else drops out.
-        adm_ev = admitted[aidx_o]
-        probe_ev = isarr_o & ~adm_ev & (rate_o > 0.0)
-        include = adm_ev | probe_ev
-        time_f = time_o[include]
-        aidx_f = aidx_o[include]
-        isarr_f = isarr_o[include]
-        touch_f = adm_ev[include]
-        delta = np.where(touch_f, signed[include], 0.0)
-        run = np.cumsum(delta)
-        before = np.concatenate(([0.0], run))[:-1] if run.size else run
-
-        dep_f = ~isarr_f
-        if bool((run[dep_f] < 0.0).any()) if run.size else False:
-            # The scalar loops clamp float residue at departures; the
-            # pure cumsum diverges there, so replay exactly instead.
-            return None
-
-        # Re-verify every decision against the exact occupancy sequence;
-        # the sandwich used bounds, and float non-associativity can flip
-        # an on-the-boundary call.  A single mismatch invalidates the
-        # whole server (later state depends on it): scalar fallback.
-        f_arr = np.flatnonzero(isarr_f)
-        fits = before[f_arr] + ar[aidx_f[f_arr]] <= cap + eps
-        if check_streams:
-            st_run = np.cumsum(np.where(touch_f, np.where(isarr_f, 1, -1), 0))
-            st_before = np.concatenate(([0], st_run))[:-1]
-            fits &= st_before[f_arr] < maxs
-        if bool((fits != touch_f[f_arr]).any()):
-            return None
+        # deltas and everything else adds +0.0, an IEEE identity.  Every
+        # serveable arrival is re-checked against the exact occupancy
+        # sequence (the sandwich used bounds, and float non-associativity
+        # can flip an on-the-boundary call); a mismatch, or a departure
+        # driving a row negative (the scalar loops clamp float residue
+        # there), marks the row for the scalar fallback.
+        adm = status[g_aidx] == 1
+        before, run = _partial_sums(np.where(adm, g_signed, 0.0))
+        adm_dep = adm & ~g_isarr
+        failed |= (adm_dep & (run < 0.0)).any(axis=1)
+        fits = before + g_signed <= capeps
+        if limits is not None:
+            st_delta = np.where(adm, g_streams, 0)
+            fits &= np.cumsum(st_delta, axis=1) - st_delta < maxs
+        checked = g_isarr & (g_signed > 0.0)
+        failed |= (checked & (fits != adm)).any(axis=1)
 
         # Metrics, with the scalar loops' exact arithmetic: the load
         # integral is the left fold of ``used * dt`` over touch times
-        # (zero-dt terms add +0.0, an IEEE identity), closed out by the
-        # final advance to the horizon; the peak is the max occupancy
-        # right after an admission.
-        tt = time_f[touch_f]
-        used_end = float(run[-1]) if run.size else 0.0
-        last_t = float(tt[-1]) if tt.size else 0.0
-        if tt.size:
-            prev = np.concatenate(([0.0], tt[:-1]))
-            terms = before[touch_f] * (tt - prev)
-        else:
-            terms = np.zeros(0)
-        closing = used_end * (horizon - last_t)
-        integral = float(
-            np.cumsum(np.concatenate((terms, [closing])))[-1]
+        # (zero-dt and untouched terms add +0.0), closed out by the final
+        # advance to the horizon; the peak is the max occupancy right
+        # after an admission.
+        g_time = ev_time[src]
+        last = np.zeros((num_servers, width + 1))
+        np.maximum.accumulate(
+            np.where(adm, g_time, 0.0), axis=1, out=last[:, 1:]
         )
-        adm_arr = run[isarr_f & touch_f]
-        peak = float(adm_arr.max()) if adm_arr.size else 0.0
-        if peak < 0.0:
-            peak = 0.0
-        return _ServerOutcome(
-            admitted,
-            int(admitted.sum()),
+        terms = np.where(adm, before * (g_time - last[:, :-1]), 0.0)
+        integral = (
+            np.cumsum(terms, axis=1)[:, -1]
+            + run[:, -1] * (horizon - last[:, -1])
+        )
+        peak = np.where(adm & g_isarr, run, 0.0).max(axis=1)
+        return _GridOutcome(
+            status[:na] == 1,
             peak,
             integral,
-            int(dep_f.sum()),
+            np.count_nonzero(adm_dep, axis=1),
+            failed,
         )
 
     # ------------------------------------------------------------------
@@ -425,7 +457,6 @@ class VectorClusterSimulator(VoDClusterSimulator):
         admitted = np.zeros(na, dtype=bool)
         used = 0.0
         streams = 0
-        served = 0
         peak = 0.0
         integral = 0.0
         last = 0.0
@@ -456,7 +487,6 @@ class VectorClusterSimulator(VoDClusterSimulator):
                     last = t
                 used += rate
                 streams += 1
-                served += 1
                 if used > peak:
                     peak = used
                 admitted[i] = True
@@ -479,4 +509,4 @@ class VectorClusterSimulator(VoDClusterSimulator):
             streams -= 1
         if horizon > last:
             integral += used * (horizon - last)
-        return _ServerOutcome(admitted, served, peak, integral, deps)
+        return _ServerOutcome(admitted, peak, integral, deps)
