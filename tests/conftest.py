@@ -47,3 +47,25 @@ def paper_problem(paper_cluster, paper_videos, zipf_paper) -> ReplicationProblem
         arrival_rate_per_min=40.0,
         peak_minutes=90.0,
     )
+
+
+@pytest.fixture
+def fig5_des() -> dict:
+    """``build_des`` overrides for the paper's Fig. 5 peak period.
+
+    M=200 videos on N=8 servers of 1,800 Mb/s under static round-robin,
+    lambda=40/min over a 20-minute trace of 90-minute videos.  With the
+    horizon at the trace length no stream departs, so every event of the
+    run is an arrival.
+    """
+    return dict(
+        num_videos=200,
+        num_servers=8,
+        theta=0.75,
+        bandwidth_mbps=1800.0,
+        rate_per_min=40.0,
+        duration_min=20.0,
+        video_duration_min=90.0,
+        capacity=30,
+        dispatcher="static_rr",
+    )

@@ -30,6 +30,7 @@ def make_problem(
     bandwidth_mbps=900.0,
     rates=(1.5, 3.0, 4.0, 6.0),
     theta=0.75,
+    arrival_rate_per_min=20.0,
 ):
     popularity = ZipfPopularity(num_videos, theta)
     cluster = ClusterSpec.homogeneous(
@@ -40,7 +41,7 @@ def make_problem(
         cluster,
         videos,
         popularity,
-        arrival_rate_per_min=20.0,
+        arrival_rate_per_min=arrival_rate_per_min,
         peak_minutes=90.0,
         allowed_bit_rates_mbps=rates,
     )
@@ -90,35 +91,47 @@ def assert_holders_match(context):
     np.testing.assert_array_equal(np.array(context._cols).T, state)
 
 
+def assert_deltas_match_full_recompute(sa, moves, seed_base):
+    state = sa.initial_state(np.random.default_rng(0))
+    context = sa.make_incremental(state)
+    full_state = state.copy()
+    checked = 0
+    for i in range(moves):
+        seed = seed_base + i
+        before = sa.cost(full_state)
+        neighbor = sa.propose(full_state, np.random.default_rng(seed))
+        delta = context.propose(np.random.default_rng(seed))
+        if neighbor is None:
+            # rng parity: the context must fall through exactly when
+            # the full path does.
+            assert delta is None
+            continue
+        assert delta == pytest.approx(sa.cost(neighbor) - before, abs=1e-9)
+        checked += 1
+        if i % 2 == 0:
+            full_state = neighbor
+            context.commit()
+        else:
+            context.rollback()
+        # Bitwise agreement after every commit/rollback.
+        np.testing.assert_array_equal(context.export_state(), full_state)
+    assert checked > moves // 6  # the walk must actually exercise moves
+
+
 class TestDeltaCrossCheck:
     def test_deltas_match_full_recompute(self):
-        sa = make_problem()
-        state = sa.initial_state(np.random.default_rng(0))
-        context = sa.make_incremental(state)
-        full_state = state.copy()
-        checked = 0
-        for i in range(600):
-            seed = 5_000 + i
-            before = sa.cost(full_state)
-            neighbor = sa.propose(full_state, np.random.default_rng(seed))
-            delta = context.propose(np.random.default_rng(seed))
-            if neighbor is None:
-                # rng parity: the context must fall through exactly when
-                # the full path does.
-                assert delta is None
-                continue
-            assert delta == pytest.approx(
-                sa.cost(neighbor) - before, abs=1e-9
-            )
-            checked += 1
-            if i % 2 == 0:
-                full_state = neighbor
-                context.commit()
-            else:
-                context.rollback()
-            # Bitwise agreement after every commit/rollback.
-            np.testing.assert_array_equal(context.export_state(), full_state)
-        assert checked > 100  # the walk must actually exercise moves
+        assert_deltas_match_full_recompute(make_problem(), 600, 5_000)
+
+    def test_deltas_match_full_recompute_at_paper_scale(self):
+        # M=250 on N=8 servers with four rates at lambda=40/min.
+        sa = make_problem(
+            num_videos=250,
+            num_servers=8,
+            storage_gb=120.0,
+            bandwidth_mbps=1800.0,
+            arrival_rate_per_min=40.0,
+        )
+        assert_deltas_match_full_recompute(sa, 1000, 10_000)
 
     def test_rollback_restores_caches_exactly(self):
         sa = make_problem()

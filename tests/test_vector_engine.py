@@ -140,6 +140,24 @@ class TestFeatureCrossings:
             )
         )
 
+    @pytest.mark.parametrize(
+        "feature",
+        [
+            {},
+            {"redirection": True},
+            {"failures": True, "failover_on_down": True},
+            {
+                "failures": True,
+                "failover_on_down": True,
+                "failover_retry": True,
+                "rereplication": True,
+            },
+        ],
+        ids=["plain", "redirection", "failures", "chaos"],
+    )
+    def test_fig5_scale(self, fig5_des, feature):
+        _assert_lockstep(_params(**fig5_des, **feature))
+
     def test_empty_trace(self):
         optimized, _, trace, run_kwargs = build_des(_params())
         empty = type(trace)(

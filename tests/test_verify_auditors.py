@@ -118,6 +118,20 @@ class TestAuditedRunEquivalence:
         result, report = audited_matches_plain(des_params(horizon_frac=0.6))
         assert result.num_truncated > 0
 
+    # horizon_frac 1.0 ends at the trace length (the all-arrivals peak
+    # slice); 5.75 runs 20 + 90 + 5 minutes, past the last departure.
+    @pytest.mark.parametrize(
+        ("horizon_frac", "events_per_request"),
+        [(1.0, 1), (5.75, 2)],
+        ids=["peak-slice", "full-lifecycle"],
+    )
+    def test_fig5_scale(self, fig5_des, horizon_frac, events_per_request):
+        result, report = audited_matches_plain(
+            des_params(**fig5_des, horizon_frac=horizon_frac)
+        )
+        assert report.events_audited == result.num_events
+        assert result.num_events == events_per_request * result.num_requests
+
     def test_repeat_runs_identical(self):
         params = des_params(failures=True, redirection=True)
         optimized, _, trace, run_kwargs = build_des(params)
