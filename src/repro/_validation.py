@@ -7,6 +7,7 @@ NumPy broadcasting error deep inside an experiment sweep.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 __all__ = [
     "check_positive",
     "check_non_negative",
+    "check_finite_non_negative",
     "check_int_in_range",
     "check_probability_vector",
     "check_in_range",
@@ -32,6 +34,13 @@ def check_non_negative(name: str, value: float) -> float:
     """Return *value* if it is >= 0, else raise ``ValueError``."""
     if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
+def check_finite_non_negative(name: str, value: float) -> float:
+    """Return *value* if it is finite and >= 0, else raise ``ValueError``."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     return value
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from ._validation import check_finite_non_negative, check_int_in_range
 from .cluster_sim import DEFAULT_ENGINE, make_dispatcher_factory, validate_engine
 from .experiments.config import PaperSetup
 
@@ -91,10 +92,10 @@ class SimulationConfig:
             )
         validate_engine(self.engine)
         make_dispatcher_factory(self.dispatcher)  # raises on unknown name
-        if self.backbone_mbps < 0:
-            raise ValueError(
-                f"backbone_mbps must be >= 0, got {self.backbone_mbps}"
-            )
+        check_finite_non_negative("theta", self.theta)
+        # The same [1, N] check (and message) PaperSetup.cluster applies.
+        self.setup.replica_budget(self.replication_degree)
+        check_finite_non_negative("backbone_mbps", self.backbone_mbps)
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
 

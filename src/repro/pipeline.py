@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._validation import check_finite_non_negative, check_int_in_range
 from .analysis.stats import Summary, summarize
 from .analysis.surrogate import SurrogateWorkload, evaluate_layouts
 from .config_core import SimulationConfig
@@ -143,6 +144,15 @@ class PipelineConfig(SimulationConfig):
             )
         if self.num_runs is not None and self.num_runs < 1:
             raise ValueError(f"num_runs must be >= 1, got {self.num_runs}")
+        check_finite_non_negative(
+            "arrival_rate_per_min", self.arrival_rate_per_min
+        )
+        check_int_in_range("refine_max_steps", self.refine_max_steps, 0)
+        check_int_in_range("anneal_chains", self.anneal_chains, 1)
+        check_int_in_range(
+            "anneal_steps_per_level", self.anneal_steps_per_level, 1
+        )
+        check_int_in_range("anneal_max_levels", self.anneal_max_levels, 1)
         if self.surrogate:
             if self.anneal:
                 raise ValueError(
