@@ -9,7 +9,11 @@ import pytest
 
 from conftest import emit
 from repro.experiments.availability import format_availability, run_availability
-from repro.experiments.dynamic_experiment import format_dynamic_study, run_dynamic_study
+from repro.experiments.dynamic_experiment import (
+    QUICK_EPOCHS,
+    format_dynamic_study,
+    run_dynamic_study,
+)
 from repro.experiments.striping_comparison import (
     format_striping,
     run_load_sweep,
@@ -100,7 +104,7 @@ def test_dynamic(benchmark, bench_setup, results_dir):
     results = benchmark.pedantic(
         run_dynamic_study,
         args=(bench_setup,),
-        kwargs=dict(epochs=8),
+        kwargs=dict(epochs=QUICK_EPOCHS),
         rounds=1,
         iterations=1,
     )

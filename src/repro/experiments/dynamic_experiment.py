@@ -106,10 +106,15 @@ def format_dynamic_study(results: dict) -> str:
     return series + "\n\n" + bill
 
 
+#: Epochs of the ``--quick`` table; ``benchmarks/bench_extensions.py``
+#: times the same run and writes the same ``results/dynamic.txt``.
+QUICK_EPOCHS = 6
+
+
 def main(quick: bool = False, chart: bool = False) -> str:
     """CLI entry point; returns the formatted report."""
     setup = PaperSetup().quick(num_runs=3) if quick else PaperSetup()
-    epochs = 6 if quick else 12
+    epochs = QUICK_EPOCHS if quick else 12
     results = run_dynamic_study(setup, epochs=epochs)
     report = format_dynamic_study(results)
     if chart:
