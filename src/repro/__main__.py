@@ -4,7 +4,6 @@ Subcommands::
 
     python -m repro experiments fig4 --quick      # the figure harness
     python -m repro fuzz --trials 100             # differential fuzzing
-    python -m repro bench --smoke --only vector   # hot-path microbenchmarks
     python -m repro pipeline --theta 0.75 --rate 30 --observe
     python -m repro pipeline --engine audited      # optimized + invariant auditors
     python -m repro pipeline --shards 4 --jobs 4   # sharded scale-out
@@ -13,10 +12,9 @@ Subcommands::
     python -m repro serve --shards 2 --jobs 2
     python -m repro observe-report trace.jsonl --chart
 
-``experiments``, ``fuzz`` and ``bench`` delegate verbatim to the
-underlying drivers (``python -m repro.experiments`` /
-``python -m repro.verify.fuzz`` / ``benchmarks/bench_hotpaths.py``),
-which keep working unchanged.  ``pipeline`` runs the
+``experiments`` and ``fuzz`` delegate verbatim to the underlying
+drivers (``python -m repro.experiments`` / ``python -m
+repro.verify.fuzz``), which keep working unchanged.  ``pipeline`` runs the
 :func:`repro.pipeline.solve` facade for one design point, optionally
 instrumented; ``observe-report`` renders a trace JSONL written with
 ``--trace-out`` (or :meth:`repro.observe.Observer.export_jsonl`).
@@ -451,32 +449,6 @@ def _cmd_observe_report(args) -> int:
     return 0
 
 
-def _cmd_bench(argv: list[str]) -> int:
-    """Delegate to the repo-root hot-path benchmark driver.
-
-    The driver lives outside the installable package (it writes
-    ``BENCH_hotpaths.json`` at the repo root), so it is loaded from the
-    checkout by path; an installed-only environment gets a clear error.
-    """
-    import importlib.util
-    from pathlib import Path
-
-    script = (
-        Path(__file__).resolve().parents[2] / "benchmarks" / "bench_hotpaths.py"
-    )
-    if not script.exists():
-        print(
-            "bench requires a repository checkout "
-            f"(no {script})",
-            file=sys.stderr,
-        )
-        return 2
-    spec = importlib.util.spec_from_file_location("bench_hotpaths", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.main(argv)
-
-
 def main(argv: "list[str] | None" = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = argparse.ArgumentParser(
@@ -499,12 +471,6 @@ def main(argv: "list[str] | None" = None) -> int:
         help="differential fuzzing (python -m repro.verify.fuzz ...)",
         add_help=False,
     )
-    subparsers.add_parser(
-        "bench",
-        help="hot-path microbenchmarks writing BENCH_hotpaths.json "
-        "(benchmarks/bench_hotpaths.py ...)",
-        add_help=False,
-    )
     _pipeline_parser(subparsers)
     _serve_parser(subparsers)
     report_parser = subparsers.add_parser(
@@ -523,8 +489,6 @@ def main(argv: "list[str] | None" = None) -> int:
         from .verify.fuzz import main as fuzz_main
 
         return fuzz_main(argv[1:])
-    if argv and argv[0] == "bench":
-        return _cmd_bench(argv[1:])
 
     args = parser.parse_args(argv)
     if args.command == "pipeline":
