@@ -8,8 +8,8 @@ semantics.  The optimized simulator must produce bit-identical
 :class:`SimulationResult` fields (everything except wall time) on every
 workload; ``tests/test_simulator_equivalence.py`` enforces that over
 randomized configurations crossing failures × redirection × stream limits
-× watch-time traces, and ``benchmarks/bench_hotpaths.py`` re-checks it on
-every benchmark run.
+× watch-time traces, and ``tests/test_vector_engine.py`` re-checks it at
+the paper's Fig. 5 scale.
 
 Keep this module boring: it exists to be obviously correct, not fast.
 """

@@ -10,8 +10,7 @@ servers and no dispatch state, so the shards are embarrassingly parallel
 merge of their :class:`~repro.cluster_sim.metrics.SimulationResult`
 objects is *exact*, not approximate: a K-shard run is bit-identical to one
 genuine unsharded simulation of the K-pod block system (see
-:func:`unsharded_equivalent` and the ``scale`` block of
-``BENCH_hotpaths.json``).
+:func:`unsharded_equivalent` and ``tests/test_sharding.py``).
 
 With ``backbone_mbps = B > 0`` the contract is the *per-pod backbone
 split*: each shard owns an independent B-Mb/s backbone link and

@@ -299,8 +299,7 @@ class VoDClusterSimulator:
             arrival/departure is recorded.  The returned result is
             bit-identical to an unobserved run; with ``observer=None`` the
             hot loop's only additions are two constant-false comparisons
-            per arrival (see the ``observe`` block of
-            ``BENCH_hotpaths.json``).  Honoured with or without auditors.
+            per arrival.  Honoured with or without auditors.
         """
         result, record = self._run(
             trace,
@@ -595,8 +594,7 @@ class VoDClusterSimulator:
         # Observation locals.  With observer=None (the default) both hot
         # guards degenerate to constant-false comparisons: ``t >=
         # next_sample`` with next_sample=inf and ``if trace_every`` with
-        # trace_every=0 — the disabled-path budget gated by the
-        # ``observe`` block of BENCH_hotpaths.json.
+        # trace_every=0.
         next_sample = _INF
         trace_every = 0
         if observer is not None:

@@ -14,7 +14,8 @@ Three zero-dependency building blocks behind one facade:
 subsystems accept through their optional ``observer=`` parameter
 (simulator runs, annealing runs, dynamic-replication epochs, the parallel
 runner).  With ``observer=None`` (the default) every instrumented hot
-path is unchanged within the ``BENCH_hotpaths.json`` ``observe`` gates.
+path runs unobserved, and an observed simulation returns the same result
+as a plain one (``tests/test_observe.py``).
 
 Quick start::
 

@@ -23,9 +23,8 @@ Simulation folds are *deferred*: :meth:`Observer.record_simulation` only
 parks the run's raw sample buffers, and the numpy aggregation into
 histograms/time series runs once on first read (any access to
 :attr:`Observer.registry` or :attr:`Observer.tracer` flushes).  Recording
-stays off the simulator's critical path — the metrics-on budget in
-``BENCH_hotpaths.json`` gates the recording cost; the fold cost is
-reported separately as ``fold_wall_sec``.
+stays off the simulator's critical path; the fold cost lands on the
+first reader instead.
 """
 
 from __future__ import annotations

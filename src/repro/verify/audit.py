@@ -19,8 +19,8 @@ the request columns) and repairs dated before their crash (over the
 crash/repair records), plus the clock watermark against the horizon.
 
 The cost is the recording the kernel always does (one list store per
-admission) plus the reconstruction, measured against the plain run by
-the ``audit`` block of ``benchmarks/bench_hotpaths.py``.
+admission) plus the reconstruction; the overhead against a plain run is
+not measured by the repository benchmark yet.
 """
 
 from __future__ import annotations

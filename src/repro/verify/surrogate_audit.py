@@ -23,8 +23,7 @@ CLI::
 
     python -m repro.verify.surrogate_audit --configs 6 --seed 20020818
 
-The default seed pins the CI sample; ``benchmarks/bench_hotpaths.py
---only surrogate`` reuses :func:`audit_surrogate` for its accuracy gate.
+The default seed pins the CI sample (``--configs 3 --runs 2``).
 """
 
 from __future__ import annotations
