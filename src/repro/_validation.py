@@ -93,6 +93,6 @@ def check_probability_vector(name: str, values: Sequence[float] | np.ndarray) ->
     if np.any(arr < 0):
         raise ValueError(f"{name} must be non-negative")
     total = float(arr.sum())
-    if not np.isclose(total, 1.0, rtol=0, atol=1e-9):
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"{name} must sum to 1 (got {total})")
     return arr

@@ -11,7 +11,10 @@ The three problem-specific decisions the paper lists:
    ``-( mean_i(b_i)/b_max + alpha * mean_i(r_i)/N - beta * L )`` where
    ``b_i`` is the mean rate over video ``i``'s replicas, ``L`` the relative
    Eq. (2) imbalance of the expected server loads under static round-robin
-   dispatch of ``lambda * T`` requests.
+   dispatch of ``lambda * T`` requests.  ``cost`` also takes a
+   ``(K, M, N)`` stack of states and returns their ``K`` costs, each equal
+   bit for bit to the cost of its matrix (the engine's ``T0`` walk costs
+   all its states in one call).
 2. **Initial solution** — every video one replica at the lowest allowed
    rate, dealt round robin over the servers ("each video can have one
    replica at least in a low bit rate quality").
@@ -30,16 +33,18 @@ engine's delta-cost protocol (see :mod:`repro.annealing.engine`).  Move
 and :meth:`~ScalableBitRateProblem._choose_shed`, which read one server's
 rate column and its ascending holder list (the videos with a replica there)
 and return the ``(video, new rate)`` entry to write.  The incremental context
-keeps a holder list and a plain-float rate column per server up to date
-through every write, rollback and resync; the full path rebuilds them from
-its matrix copy on every proposal.  Both paths therefore consume identical
+keeps a holder list and a plain-float rate column per server exact through
+every write and rollback; the full path rebuilds them from its matrix copy
+on every proposal.  Both paths therefore consume identical
 rng sequences by construction.  The context evaluates each move by updating
 cached per-video replica counts/rate sums and per-server load/storage
 vectors in O(touched entries) instead of copying and rescanning the
 ``(M, N)`` state, while the full path recomputes cost and feasibility from
-the matrix.  Rolled-back moves restore the state bitwise; cached floats are
-resynced by the engine at level boundaries, so any accumulation drift stays
-below the acceptance noise floor.  The full-recompute path remains the
+the matrix.  Rolled-back moves restore the state bitwise; the accumulated
+float caches (rate sums, quality terms, loads, storage) are rebuilt by the
+engine's ``resync`` at level boundaries, so any accumulation drift stays
+below the acceptance noise floor.  Columns, holder lists and replica counts
+are exact and never need a rebuild.  The full-recompute path remains the
 behavior oracle (``tests/test_annealing_incremental.py`` cross-checks
 deltas, rollbacks, holder lists and end-to-end trajectories).
 """
@@ -118,22 +123,31 @@ class ScalableBitRateProblem:
             )
         return state
 
-    def cost(self, state: np.ndarray) -> float:
-        """Negated normalized Eq. (1) objective (lower is better)."""
+    def cost(self, state: np.ndarray) -> float | np.ndarray:
+        """Negated normalized Eq. (1) objective (lower is better).
+
+        *state* is one ``(M, N)`` matrix, or a ``(K, M, N)`` stack whose
+        ``K`` costs come back as an array.  Every reduction runs along the
+        same trailing axis either way, so each stacked cost equals the
+        cost of its matrix bit for bit.
+        """
         present = state > 0
-        counts = present.sum(axis=1)
+        counts = present.sum(axis=-1)
         if np.any(counts < 1):
             raise ValueError("state lost a video's last replica (Eq. 7)")
-        mean_rate = state.sum(axis=1) / counts
+        mean_rate = state.sum(axis=-1) / counts
         loads = self._server_loads(state, counts)
-        mean_load = loads.mean()
-        imbalance = float(np.abs(loads - mean_load).max() / mean_load) if mean_load else 0.0
+        mean_load = loads.mean(axis=-1)
+        worst = np.abs(loads - mean_load[..., None]).max(axis=-1)
+        imbalance = np.divide(
+            worst, mean_load, out=np.zeros_like(worst), where=mean_load != 0
+        )
         objective = (
-            float(mean_rate.mean()) / self.max_rate
-            + self._alpha * float(counts.mean()) / self._problem.num_servers
+            mean_rate.mean(axis=-1) / self.max_rate
+            + self._alpha * counts.mean(axis=-1) / self._problem.num_servers
             - self._beta * imbalance
         )
-        return -objective
+        return float(-objective) if state.ndim == 2 else -objective
 
     def propose(
         self, state: np.ndarray, rng: np.random.Generator
@@ -185,7 +199,7 @@ class ScalableBitRateProblem:
     def _server_loads(self, state: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """Expected end-of-peak outgoing load per server (Mb/s)."""
         weights = self._probs / counts
-        return self._requests * (weights[:, None] * state).sum(axis=0)
+        return self._requests * (weights[..., None] * state).sum(axis=-2)
 
     def _server_storage(self, state: np.ndarray, server: int) -> float:
         return float((state[:, server] * self._gb_per_mbps).sum())
@@ -249,21 +263,30 @@ class ScalableBitRateProblem:
         protect: int,
     ) -> tuple[int, float] | None:
         """Decrease or delete the lowest-rate shedable replica on a server,
-        as ``(video, new rate)``; None when nothing can be shed."""
-        candidates = [video for video in holders if video != protect]
-        # Stable: equal rates keep ascending video order.
-        candidates.sort(key=column.__getitem__)
-        rates = self._rates_l
-        min_rate = self._min_rate
-        for video in candidates:
+        as ``(video, new rate)``; None when nothing can be shed.
+
+        One pass over the ascending holders keeps the lowest
+        ``(rate, video)`` replica that can shed: one above the lowest rate
+        (decreased) or one that is not its video's last (deleted).  A last
+        replica at the lowest rate is protected by Eq. 7."""
+        floor = self._min_rate + 1e-12
+        best = -1
+        best_rate = 0.0
+        for video in holders:
+            if video == protect:
+                continue
             rate = column[video]
-            if rate > min_rate + 1e-12:
-                idx = bisect_left(rates, rate - 1e-12) - 1
-                return video, rates[max(idx, 0)]
-            if counts[video] > 1:
-                return video, 0.0
-            # Last replica at the lowest rate: protected by Eq. 7, try next.
-        return None
+            if best >= 0 and rate >= best_rate:
+                continue
+            if rate > floor or counts[video] > 1:
+                best, best_rate = video, rate
+        if best < 0:
+            return None
+        if best_rate > floor:
+            rates = self._rates_l
+            idx = bisect_left(rates, best_rate - 1e-12) - 1
+            return best, rates[max(idx, 0)]
+        return best, 0.0
 
     def _repair_server(
         self, state: np.ndarray, server: int, *, protect: int
@@ -313,8 +336,10 @@ class _IncrementalScalableState:
     Rollback restores the state matrix, the per-server columns and holder
     lists and the integer/row caches from the undo log (bitwise) and the
     small per-server vectors from snapshots taken at propose time; the
-    cost of the pre-move state is kept, not recomputed.  ``resync``
-    recomputes everything from the matrix.
+    cost of the pre-move state is kept, not recomputed.  The exact caches
+    (columns, holder lists, counts, total replicas) are built once at
+    construction; ``resync`` recomputes only the float caches from the
+    matrix.
     """
 
     __slots__ = (
@@ -359,6 +384,16 @@ class _IncrementalScalableState:
         self._R = float(problem._requests)
         self._max_sheds = self._M * problem._rates.size + 1
         self._log: list[tuple[int, int, float, int, float, float]] = []
+        # The exact caches: every write and rollback keeps them exact, so
+        # they are built once here and never rebuilt.
+        present = self._state > 0
+        counts = present.sum(axis=1)
+        if np.any(counts < 1):
+            raise ValueError("state lost a video's last replica (Eq. 7)")
+        self._cols = self._state.T.tolist()
+        self._holders = [column.nonzero()[0].tolist() for column in present.T]
+        self._counts = counts.tolist()
+        self._total_replicas = int(counts.sum())
         self.resync()
 
     # -- IncrementalContext protocol ----------------------------------
@@ -437,26 +472,18 @@ class _IncrementalScalableState:
         self._total_replicas = self._total_snap
 
     def resync(self) -> None:
-        """Recompute every cache from the state matrix (clears drift)."""
+        """Recompute the float caches from the state matrix (clears drift).
+
+        Columns, holder lists and replica counts stay exact through every
+        write and rollback, so only the accumulated floats are rebuilt."""
         state = self._state
         p = self._p
-        present = state > 0
-        counts_arr = present.sum(axis=1)
-        if np.any(counts_arr < 1):
-            raise ValueError("state lost a video's last replica (Eq. 7)")
-        self._cols = state.T.tolist()
-        self._holders = [column.nonzero()[0].tolist() for column in present.T]
-        self._counts = counts_arr.tolist()
-        self._row_sums = state.sum(axis=1).tolist()
-        self._quality = [
-            rs / c for rs, c in zip(self._row_sums, self._counts)
-        ]
+        counts = np.array(self._counts)
+        row_sums = state.sum(axis=1)
+        self._row_sums = row_sums.tolist()
+        self._quality = (row_sums / counts).tolist()
         self._quality_sum = float(sum(self._quality))
-        self._total_replicas = int(counts_arr.sum())
-        weights = p._probs / counts_arr
-        self._loads = (
-            p._requests * (weights[:, None] * state).sum(axis=0)
-        ).tolist()
+        self._loads = p._server_loads(state, counts).tolist()
         self._storage = (state * p._gb_per_mbps[:, None]).sum(axis=0).tolist()
         self._log.clear()
         self._cost = self._compute_cost()

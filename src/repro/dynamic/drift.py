@@ -110,8 +110,8 @@ class DriftDetector:
     The score is the total-variation distance ``0.5 * sum |p - q|`` —
     the largest probability mass any event set can disagree by, so it is
     in ``[0, 1]`` regardless of catalogue size and directly comparable
-    to a threshold.  The serving control plane re-solves when
-    :meth:`drifted` fires.
+    to a threshold.  The serving control plane re-solves when the
+    score strictly exceeds :attr:`threshold`.
     """
 
     def __init__(self, threshold: float = 0.10) -> None:
@@ -132,10 +132,6 @@ class DriftDetector:
                 f"{estimate.shape}"
             )
         return float(0.5 * np.abs(planned - estimate).sum())
-
-    def drifted(self, planned: np.ndarray, estimate: np.ndarray) -> bool:
-        """True when the score strictly exceeds the threshold."""
-        return self.score(planned, estimate) > self._threshold
 
 
 class LognormalDrift(PopularityDrift):

@@ -14,7 +14,10 @@ Lemma 4.1: the total number of replicas produced is non-decreasing in ``u``
 ``u`` therefore finds the assignment that best fills the replica budget
 ``N * C``; the paper bounds the search and shows overall complexity
 ``O(M log M)``, versus ``O(M + N*C log M)`` for the Adams method — the win
-being that the cost does not grow with the storage capacity.
+being that the cost does not grow with the storage capacity.  The
+popularities are sorted once (``O(M log M)``); each search step then counts
+its total from the ``N - 1`` interior boundaries alone, in ``O(N log M)``,
+and per-video counts are built only for the chosen ``u``.
 
 Degenerate cases handled explicitly:
 
@@ -85,6 +88,20 @@ def interval_replica_counts(
     return (num_servers - above).astype(np.int64)
 
 
+def _interval_total(ascending: np.ndarray, num_servers: int, u: float) -> int:
+    """``interval_replica_counts(p, N, u).sum()`` from ``p`` sorted ascending.
+
+    Summing ``N - #{interior z > p_i}`` over the videos equals ``N * M``
+    minus, per interior boundary ``z``, the number of videos below it, so
+    the total needs ``N - 1`` binary searches and no per-video counts.
+    """
+    boundaries = interval_boundaries(
+        float(ascending[-1]), float(ascending[0]), num_servers, u
+    )
+    below = np.searchsorted(ascending, boundaries[1:num_servers], side="left")
+    return num_servers * ascending.size - int(below.sum())
+
+
 def _trim_to_budget(
     probs: np.ndarray, counts: np.ndarray, budget: int
 ) -> tuple[np.ndarray, int]:
@@ -151,50 +168,53 @@ def zipf_interval_replication(
         return result
 
     evaluations = 0
+    ascending = np.sort(probs)
 
-    def total_at(u: float) -> tuple[int, np.ndarray]:
+    def total_at(u: float) -> int:
         nonlocal evaluations
         evaluations += 1
-        counts = interval_replica_counts(probs, num_servers, u)
-        return int(counts.sum()), counts
+        return _interval_total(ascending, num_servers, u)
 
     # --- bracket [lo, hi] with total(lo) <= budget < total(hi) -----------
     lo, hi = -1.0, 1.0
-    total_lo, counts_lo = total_at(lo)
+    total_lo = total_at(lo)
     while total_lo > budget and lo > -_MAX_ABS_U:
         lo *= 2.0
-        total_lo, counts_lo = total_at(lo)
-    total_hi, counts_hi = total_at(hi)
+        total_lo = total_at(lo)
+    total_hi = total_at(hi)
     while total_hi <= budget and hi < _MAX_ABS_U:
         # hi still fits: remember it as the best-so-far lower bracket.
-        lo, total_lo, counts_lo = hi, total_hi, counts_hi
+        lo, total_lo = hi, total_hi
         hi *= 2.0
-        total_hi, counts_hi = total_at(hi)
+        total_hi = total_at(hi)
 
     trimmed = 0
+    iterations = 0
     if total_lo > budget:
         # Budget below the algorithm's floor (~ M + N - 1): repair by trim.
-        best_counts, trimmed = _trim_to_budget(probs, counts_lo, budget)
-        best_u, best_total = lo, int(best_counts.sum())
-        iterations = 0
-    elif total_hi <= budget:
-        # Even the widest skew fits: take it (typically full replication).
-        best_u, best_total, best_counts = hi, total_hi, counts_hi
-        iterations = 0
+        best_u = lo
+        best_counts, trimmed = _trim_to_budget(
+            probs, interval_replica_counts(probs, num_servers, lo), budget
+        )
+        best_total = int(best_counts.sum())
     else:
-        # --- binary search ------------------------------------------------
-        best_u, best_total, best_counts = lo, total_lo, counts_lo
-        iterations = 0
-        while hi - lo > tol and iterations < max_iterations:
-            mid = 0.5 * (lo + hi)
-            total_mid, counts_mid = total_at(mid)
-            if total_mid <= budget:
-                lo = mid
-                if total_mid > best_total:
-                    best_u, best_total, best_counts = mid, total_mid, counts_mid
-            else:
-                hi = mid
-            iterations += 1
+        if total_hi <= budget:
+            # Even the widest skew fits: take it (typically full replication).
+            best_u, best_total = hi, total_hi
+        else:
+            # --- binary search --------------------------------------------
+            best_u, best_total = lo, total_lo
+            while hi - lo > tol and iterations < max_iterations:
+                mid = 0.5 * (lo + hi)
+                total_mid = total_at(mid)
+                if total_mid <= budget:
+                    lo = mid
+                    if total_mid > best_total:
+                        best_u, best_total = mid, total_mid
+                else:
+                    hi = mid
+                iterations += 1
+        best_counts = interval_replica_counts(probs, num_servers, best_u)
 
     return ReplicationResult(
         replica_counts=best_counts,

@@ -517,7 +517,7 @@ class ServingControlPlane:
                 drift_score = self._detector.score(planning_probs, estimate)
                 want = config.replan == "always" or (
                     config.replan == "drift"
-                    and self._detector.drifted(planning_probs, estimate)
+                    and drift_score > self._detector.threshold
                 )
                 if want:
                     replanned = True

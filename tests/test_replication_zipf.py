@@ -1,5 +1,7 @@
 """Tests for the Zipf-like-distribution-based replication (Sec. 4.1.2)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -213,3 +215,68 @@ class TestTrimToBudget:
         counts = np.full(5, 2, dtype=np.int64)
         with pytest.raises(RuntimeError):
             _trim_to_budget(probs, counts, 3)
+
+
+#: ``replication_digest(random_draws(300))`` of the accepted search.
+REPLICATION_DIGEST = (
+    "cfa7f5e089026297636b8d702ebf84a655bff73f1a2e8f8c490ab5cfbe49ebe2"
+)
+
+
+def random_draws(count, seed=2024):
+    """``(p, N, budget)`` draws: Zipf and Dirichlet popularities (some with
+    tied values), N from 1 to 16, and budgets from below the interval
+    floor (trim) to past full replication (capped)."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for index in range(count):
+        num_videos = int(rng.integers(2, 80))
+        num_servers = int(rng.integers(1, 17))
+        if index % 2:
+            probs = zipf_probabilities(num_videos, float(rng.uniform(0.0, 1.5)))
+        else:
+            probs = rng.dirichlet(np.full(num_videos, rng.uniform(0.2, 3.0)))
+        if index % 5 == 0:
+            probs = np.round(probs, 2) + 1e-3  # ties
+            probs = probs / probs.sum()
+        budget = int(rng.integers(num_videos, num_servers * num_videos + 6))
+        draws.append((probs, num_servers, budget))
+    return draws
+
+
+def replication_digest(draws):
+    digest = hashlib.sha256()
+    for probs, num_servers, budget in draws:
+        result = zipf_interval_replication(probs, num_servers, budget)
+        digest.update(np.asarray(result.replica_counts, dtype=np.int64).tobytes())
+        digest.update(repr(sorted(result.info.items())).encode())
+    return digest.hexdigest()
+
+
+class TestSearchTotals:
+    def test_every_evaluated_total_is_the_counts_sum(self, monkeypatch):
+        from repro.replication import zipf_interval
+
+        evaluated = []
+        exact_total = zipf_interval._interval_total
+
+        def spy(ascending, num_servers, u):
+            total = exact_total(ascending, num_servers, u)
+            evaluated.append((ascending, num_servers, u, total))
+            return total
+
+        monkeypatch.setattr(zipf_interval, "_interval_total", spy)
+        for probs, num_servers, budget in random_draws(300):
+            before = len(evaluated)
+            result = zipf_interval_replication(probs, num_servers, budget)
+            if "degenerate" not in result.info:
+                assert len(evaluated) - before == result.info["evaluations"]
+            for _, n, u, total in evaluated[before:]:
+                assert total == interval_replica_counts(probs, n, u).sum()
+        assert len(evaluated) > 3000
+
+    def test_results_match_the_pinned_digest(self):
+        # (replica_counts, info) of the 300 draws, pinned before the search
+        # counted totals from the boundaries: u, iterations, evaluations
+        # and utilization must not move.
+        assert replication_digest(random_draws(300)) == REPLICATION_DIGEST

@@ -102,3 +102,21 @@ class TestCheckProbabilityVector:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum to 1"):
             check_probability_vector("p", [0.5, 0.4])
+
+    @pytest.mark.parametrize("offset", [0.9e-9, -0.9e-9])
+    def test_sum_within_tolerance_passes(self, offset):
+        check_probability_vector("p", [0.5, 0.5 + offset])
+
+    @pytest.mark.parametrize("offset", [1.1e-9, -1.1e-9])
+    def test_sum_past_tolerance_raises(self, offset):
+        with pytest.raises(ValueError, match=r"^p must sum to 1 \(got "):
+            check_probability_vector("p", [0.5, 0.5 + offset])
+
+    def test_entry_errors_keep_their_messages(self):
+        with pytest.raises(ValueError, match=r"^p must be non-negative$"):
+            check_probability_vector("p", [1.5, -0.5])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(
+                ValueError, match=r"^p must contain only finite values$"
+            ):
+                check_probability_vector("p", [0.5, bad])
