@@ -92,7 +92,7 @@ def figure3_trace(replication: ReplicationResult | None = None, capacity: int = 
         capacity = max(capacity, 3)  # 11 replicas need ceil(11/4) per server
     from ..placement.base import sorted_replica_stream, validate_placement_inputs
 
-    validate_placement_inputs(replication, capacity)
+    validate_placement_inputs(replication, capacity, bit_rate_mbps=4.0)
     num_servers = replication.num_servers
     stream = sorted_replica_stream(replication)
     weights = replication.weights()

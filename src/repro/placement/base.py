@@ -6,7 +6,7 @@ import abc
 
 import numpy as np
 
-from .._validation import check_int_in_range
+from .._validation import check_int_in_range, check_positive
 from ..model.layout import ReplicaLayout
 from ..replication.base import ReplicationResult
 
@@ -18,15 +18,20 @@ class PlacementError(RuntimeError):
 
 
 def validate_placement_inputs(
-    replication: ReplicationResult, capacity_replicas: int
+    replication: ReplicationResult,
+    capacity_replicas: int,
+    *,
+    bit_rate_mbps: float,
 ) -> None:
     """Check that a feasible placement exists for the replica counts.
 
     A layout exists iff every ``r_i <= N`` (guaranteed by
     :class:`ReplicationResult`) and the total replica count does not exceed
     the cluster storage ``N * C`` — the round-robin construction then always
-    succeeds (see :mod:`repro.placement.round_robin`).
+    succeeds (see :mod:`repro.placement.round_robin`).  The bit rate stamped
+    on every replica must be positive: a zero rate would place nothing.
     """
+    check_positive("bit_rate_mbps", bit_rate_mbps)
     check_int_in_range("capacity_replicas", capacity_replicas, 1)
     total = replication.total_replicas
     available = replication.num_servers * capacity_replicas

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import as_float_array
+from .._validation import as_float_array, check_positive
 from ..model.layout import ReplicaLayout
 from ..replication.base import ReplicationResult
 from .base import PlacementError, Placer, sorted_replica_stream, validate_placement_inputs
@@ -40,9 +40,12 @@ def greedy_least_loaded_placement(
     """
     num_servers = replication.num_servers
     if np.isscalar(capacity_replicas):
-        validate_placement_inputs(replication, int(capacity_replicas))
+        validate_placement_inputs(
+            replication, int(capacity_replicas), bit_rate_mbps=bit_rate_mbps
+        )
         storage_left = np.full(num_servers, int(capacity_replicas), dtype=np.int64)
     else:
+        check_positive("bit_rate_mbps", bit_rate_mbps)
         storage_left = np.asarray(capacity_replicas, dtype=np.int64).copy()
         if storage_left.shape != (num_servers,):
             raise ValueError(

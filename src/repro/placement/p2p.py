@@ -11,10 +11,15 @@ to coldest and deal each video's ``r_i`` replicas onto the next ``r_i``
 *different* servers, so the heads of the popularity distribution spread
 instead of piling onto the low-id servers.
 
-Servers whose storage is exhausted are skipped; because the deal keeps
-per-server fill levels within one replica of each other, a feasible
-instance (``sum r_i <= N * C``, guaranteed by
-:func:`~repro.placement.base.validate_placement_inputs`) always places.
+The deal has a closed form.  Each video's stripe starts where the
+previous one ended, so the ``k``-th replica in hottest-first order lands
+on server ``k mod N``.  The ``r_i <= N`` consecutive indices of one video
+are distinct servers, and server ``s`` receives the replicas
+``k = s, s + N, ...``: ``ceil(R / N)`` of them at most, which fits the
+storage ``C`` whenever ``R = sum r_i <= N * C`` (guaranteed by
+:func:`~repro.placement.base.validate_placement_inputs`).  No server is
+full before the deal ends, so the per-server capacity skip of a
+step-by-step deal never fires and the whole deal is one scatter.
 """
 
 from __future__ import annotations
@@ -35,33 +40,22 @@ def p2p_stripe_placement(
     bit_rate_mbps: float = 4.0,
 ) -> ReplicaLayout:
     """Deal each video's replicas onto a rotating stripe of servers."""
-    validate_placement_inputs(replication, capacity_replicas)
+    validate_placement_inputs(
+        replication, capacity_replicas, bit_rate_mbps=bit_rate_mbps
+    )
     num_servers = replication.num_servers
-    num_videos = replication.num_videos
     counts = replication.replica_counts
 
     order = np.argsort(-replication.popularity, kind="stable")
-    fill = np.zeros(num_servers, dtype=np.int64)
-    matrix = np.zeros((num_videos, num_servers), dtype=np.float64)
-    offset = 0
-    for video in order:
-        needed = int(counts[video])
-        placed = 0
-        for step in range(num_servers):
-            server = (offset + step) % num_servers
-            if fill[server] >= capacity_replicas:
-                continue
-            matrix[video, server] = bit_rate_mbps
-            fill[server] += 1
-            placed += 1
-            if placed == needed:
-                break
-        if placed != needed:  # pragma: no cover - structural guard
-            raise PlacementError(
-                f"stripe ran out of distinct servers for video {video} "
-                f"({placed} of {needed} replicas placed)"
-            )
-        offset = (offset + needed) % num_servers
+    videos = np.repeat(order, counts[order])
+    most_per_server = -(-videos.size // num_servers)
+    if most_per_server > capacity_replicas:  # pragma: no cover - structural guard
+        raise PlacementError(
+            f"stripe deal puts {most_per_server} replicas on a server "
+            f"with storage for {capacity_replicas}"
+        )
+    matrix = np.zeros((replication.num_videos, num_servers), dtype=np.float64)
+    matrix[videos, np.arange(videos.size) % num_servers] = bit_rate_mbps
     return ReplicaLayout(rate_matrix=matrix)
 
 

@@ -30,7 +30,9 @@ def random_feasible_placement(
     storage-free servers already hold the video); the placer restarts with a
     fresh order up to ``max_restarts`` times before giving up.
     """
-    validate_placement_inputs(replication, capacity_replicas)
+    validate_placement_inputs(
+        replication, capacity_replicas, bit_rate_mbps=bit_rate_mbps
+    )
     num_servers = replication.num_servers
     counts = replication.replica_counts
     base_stream = np.repeat(np.arange(replication.num_videos), counts)

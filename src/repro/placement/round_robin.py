@@ -41,7 +41,9 @@ def round_robin_placement(
         which makes the deal deterministic with respect to popularity and is
         occasionally useful in analyses.
     """
-    validate_placement_inputs(replication, capacity_replicas)
+    validate_placement_inputs(
+        replication, capacity_replicas, bit_rate_mbps=bit_rate_mbps
+    )
     num_servers = replication.num_servers
 
     if sort_by_weight:

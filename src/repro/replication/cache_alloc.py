@@ -210,11 +210,7 @@ def large_cache_replication(
     counts = np.ones(num_videos, dtype=np.int64)
     remaining = budget - num_videos
     gains = probs * (1.0 / inv_cur - 1.0 / inv_next)
-    heap = [
-        (-float(gains[i]), i)
-        for i in range(num_videos)
-        if num_servers > 1
-    ]
+    heap = list(zip((-gains).tolist(), range(num_videos))) if num_servers > 1 else []
     heapq.heapify(heap)
     while remaining > 0 and heap:
         neg_gain, video = heapq.heappop(heap)
@@ -228,13 +224,27 @@ def large_cache_replication(
         inv_cur[video], inv_next[video] = cur, nxt
         gain = float(probs[video]) * (1.0 / cur - 1.0 / nxt)
         heapq.heappush(heap, (-gain, video))
-    # Recompute the final per-video blocking in one vectorized ladder so
-    # the reported objective is exact at the final counts.
-    inv_final = np.ones(num_videos)
-    slots = counts * step
-    for c in range(1, int(slots.max()) + 1):
-        advanced = np.minimum(1.0 + (c / offered) * inv_final, _INV_B_CAP)
-        inv_final = np.where(c <= slots, advanced, inv_final)
+    # Recompute the final per-video blocking so the reported objective is
+    # exact at the final counts.  Videos sorted by slot count, descending,
+    # make the ladder an active prefix: at step ``c`` only the videos with
+    # at least ``c`` slots advance, each by the same capped recurrence as
+    # the full-width form, so the work is ``sum(slots)`` element steps
+    # rather than ``max(slots) * M``.
+    order = np.argsort(-counts, kind="stable")
+    sorted_counts = counts[order]
+    sorted_offered = offered[order]
+    inv_sorted = np.ones(num_videos)
+    for level in range(1, int(sorted_counts[0]) + 1):
+        # Videos with at least ``level`` replicas: a prefix of the order.
+        active = int(np.count_nonzero(sorted_counts >= level))
+        offered_active = sorted_offered[:active]
+        inv_active = inv_sorted[:active]
+        for c in range((level - 1) * step + 1, level * step + 1):
+            np.minimum(
+                1.0 + (c / offered_active) * inv_active, _INV_B_CAP, out=inv_active
+            )
+    inv_final = np.empty(num_videos)
+    inv_final[order] = inv_sorted
     blocked = float(probs @ (1.0 / inv_final))
     return ReplicationResult(
         replica_counts=counts,

@@ -19,8 +19,10 @@ from repro.placement import (
     smallest_load_first_placement,
     theorem2_holds,
 )
+from repro.pipeline import PLACERS
 from repro.placement.base import sorted_replica_stream
-from repro.placement.slf import _relaxed_choice
+from repro.placement.p2p import p2p_stripe_placement
+from repro.placement.slf import _place_round, _relaxed_choice
 from repro.popularity import zipf_probabilities
 from repro.replication import (
     REPLICATOR_REGISTRY,
@@ -161,11 +163,20 @@ def tight_storage_instances(draw):
 class TestSlfMatchesArgminOracle:
     """The round-sorted SLF against the per-replica ``argmin`` loop."""
 
-    @pytest.mark.parametrize("scale", ["paper", "cache"])
+    # Paper-scale degrees 2.0 and 4.0 give many videos r_i near N, so
+    # almost every round opens with a video straddling the previous one.
+    @pytest.mark.parametrize(
+        "scale, degree",
+        [
+            pytest.param("paper", 1.2, id="paper"),
+            pytest.param("cache", 1.2, id="cache"),
+            pytest.param("paper", 2.0, id="paper-2.0"),
+            pytest.param("paper", 4.0, id="paper-4.0"),
+        ],
+    )
     @pytest.mark.parametrize("theta", [0.0, 0.3, 0.9, 1.2])
-    def test_every_replicator_bit_identical(self, scale, theta):
+    def test_every_replicator_bit_identical(self, scale, degree, theta):
         setup = _setups()[scale]
-        degree = 1.2
         probs = setup.popularity(theta).probabilities
         capacity = setup.capacity_replicas(degree)
         for name, replicator in REPLICATOR_REGISTRY.items():
@@ -216,6 +227,145 @@ class TestSlfMatchesArgminOracle:
             return
         expected = int(np.argmin(np.where(feasible, loads, np.inf)))
         assert _relaxed_choice(0, holders, loads, storage) == expected
+
+
+def _argmin_round(videos, straddled, loads, storage_left, weights):
+    """One SLF round as a masked ``argmin`` per replica, relaxed rule
+    included; returns ``(servers, loads, storage_left)``."""
+    num_servers = len(loads)
+    loads = np.asarray(loads, dtype=np.float64)
+    storage_left = np.asarray(storage_left, dtype=np.int64)
+    used = np.zeros(num_servers, dtype=bool)
+    held_by = {videos[0]: set(straddled)}
+    servers = []
+    for video in videos:
+        holders = held_by.setdefault(video, set())
+        lacks = ~np.isin(np.arange(num_servers), list(holders))
+        feasible = ~used & lacks & (storage_left > 0)
+        if not feasible.any():
+            feasible = lacks & (storage_left > 0)
+        if not feasible.any():
+            raise PlacementError("no feasible server")
+        server = int(np.argmin(np.where(feasible, loads, np.inf)))
+        holders.add(server)
+        used[server] = True
+        storage_left[server] -= 1
+        loads[server] += weights[video]
+        servers.append(server)
+    return servers, loads.tolist(), storage_left.tolist()
+
+
+class TestSlfRound:
+    """One round of the whole-round SLF against the per-replica rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_round_matches_argmin(self, data):
+        # Storage may run out and the first video may already hold most
+        # servers, so rounds whose picks come up short (and the relaxed
+        # rule) are drawn as well as whole-slice rounds.
+        num_servers = data.draw(st.integers(1, 8))
+
+        def per_server(values):
+            return st.lists(values, min_size=num_servers, max_size=num_servers)
+
+        loads = [float(load) for load in data.draw(per_server(st.integers(0, 3)))]
+        storage = data.draw(per_server(st.integers(0, 2)))
+        runs = data.draw(
+            st.lists(st.integers(1, num_servers), min_size=1, max_size=num_servers)
+        )
+        videos = [video for video, run in enumerate(runs) for _ in range(run)]
+        videos = videos[:num_servers]
+        straddled = data.draw(
+            st.sets(st.integers(0, num_servers - 1), max_size=num_servers - 1)
+        )
+        weights = data.draw(
+            st.lists(st.integers(1, 4), min_size=len(runs), max_size=len(runs))
+        )
+        weights = [float(weight) for weight in weights]
+        try:
+            expected = _argmin_round(videos, straddled, loads, storage, weights)
+        except PlacementError:
+            with pytest.raises(PlacementError, match="no feasible server"):
+                _place_round(videos, straddled, loads, storage, weights)
+            return
+        servers = _place_round(videos, straddled, loads, storage, weights)
+        assert (servers, loads, storage) == expected
+
+
+def _cyclic_deal_oracle(replication, capacity_replicas, bit_rate_mbps=4.0):
+    """The stripe deal one video at a time: each video's replicas go to
+    the next distinct servers with storage left, from a cyclic offset
+    that advances by ``r_i`` per video, hottest video first."""
+    num_servers = replication.num_servers
+    counts = replication.replica_counts
+    order = np.argsort(-replication.popularity, kind="stable")
+    fill = np.zeros(num_servers, dtype=np.int64)
+    matrix = np.zeros((replication.num_videos, num_servers))
+    offset = 0
+    for video in order:
+        needed = int(counts[video])
+        placed = 0
+        for step in range(num_servers):
+            server = (offset + step) % num_servers
+            if fill[server] >= capacity_replicas:
+                continue
+            matrix[video, server] = bit_rate_mbps
+            fill[server] += 1
+            placed += 1
+            if placed == needed:
+                break
+        assert placed == needed
+        offset = (offset + needed) % num_servers
+    return matrix
+
+
+class TestStripeMatchesCyclicOracle:
+    """The closed-form stripe deal against the per-video cyclic loop."""
+
+    @pytest.mark.parametrize("scale", ["paper", "cache"])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.6, 0.9, 1.2])
+    def test_every_replicator_bit_identical(self, scale, theta):
+        setup = _setups()[scale]
+        degree = 1.2
+        probs = setup.popularity(theta).probabilities
+        capacity = setup.capacity_replicas(degree)
+        for name, replicator in REPLICATOR_REGISTRY.items():
+            replication = replicator().replicate(
+                probs, setup.num_servers, setup.replica_budget(degree)
+            )
+            expected = _cyclic_deal_oracle(replication, capacity)
+            layout = p2p_stripe_placement(replication, capacity)
+            assert np.array_equal(layout.rate_matrix, expected), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(tight_storage_instances())
+    def test_tight_storage_bit_identical(self, instance):
+        replication, capacity = instance
+        expected = _cyclic_deal_oracle(replication, capacity, 6.0)
+        layout = p2p_stripe_placement(replication, capacity, bit_rate_mbps=6.0)
+        assert np.array_equal(layout.rate_matrix, expected)
+
+
+class TestBitRateValidation:
+    @pytest.mark.parametrize("placer", sorted(PLACERS))
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+    def test_every_placer_rejects_non_positive_rate(self, placer, rate):
+        replication = make_replication()
+        with pytest.raises(ValueError, match="bit_rate_mbps must be > 0"):
+            PLACERS[placer]().place(replication, 10, bit_rate_mbps=rate)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+    def test_other_entry_points_reject_non_positive_rate(self, rate):
+        replication = make_replication()
+        with pytest.raises(ValueError, match="bit_rate_mbps must be > 0"):
+            random_feasible_placement(
+                replication, 10, np.random.default_rng(0), bit_rate_mbps=rate
+            )
+        with pytest.raises(ValueError, match="bit_rate_mbps must be > 0"):
+            greedy_least_loaded_placement(
+                replication, np.full(4, 10), bit_rate_mbps=rate
+            )
 
 
 class TestRoundRobinPlacement:

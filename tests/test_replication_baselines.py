@@ -1,5 +1,7 @@
 """Tests for classification, proportional and trivial replication baselines."""
 
+import heapq
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,13 @@ from repro.replication import (
     proportional_replication,
     round_robin_replication,
 )
-from repro.replication.cache_alloc import box_waterfill_targets, round_targets
+from repro.replication.base import validate_replication_inputs
+from repro.replication.cache_alloc import (
+    _INV_B_CAP,
+    _advance_inv_b,
+    box_waterfill_targets,
+    round_targets,
+)
 
 #: Full sweep incl. the uniform (theta=0) and super-Zipf (1.2) edges that
 #: historically exposed tie-handling flakes in rounding code.
@@ -204,6 +212,71 @@ class TestLargeCache:
             large_cache_replication(probs, 4, 20, slots_per_replica=0)
         with pytest.raises(ValueError, match="load_factor"):
             large_cache_replication(probs, 4, 20, load_factor=0.0)
+
+
+def _full_width_large_cache(popularity, num_servers, budget, step=15, load_factor=0.9):
+    """``(replica_counts, info)`` of the large-cache greedy with its final
+    ladder run full width: every video advances to the largest slot count
+    and keeps its value once past its own."""
+    probs = validate_replication_inputs(popularity, num_servers, budget)
+    num_videos = probs.size
+    budget = min(budget, num_servers * num_videos)
+    offered_total = load_factor * budget * step
+    offered = np.maximum(offered_total * probs, 1e-12)
+    inv_cur = np.ones(num_videos)
+    for c in range(1, step + 1):
+        inv_cur = np.minimum(1.0 + (c / offered) * inv_cur, _INV_B_CAP)
+    inv_next = inv_cur.copy()
+    for c in range(step + 1, 2 * step + 1):
+        inv_next = np.minimum(1.0 + (c / offered) * inv_next, _INV_B_CAP)
+    counts = np.ones(num_videos, dtype=np.int64)
+    gains = probs * (1.0 / inv_cur - 1.0 / inv_next)
+    heap = [(-float(gains[i]), i) for i in range(num_videos) if num_servers > 1]
+    heapq.heapify(heap)
+    remaining = budget - num_videos
+    while remaining > 0 and heap:
+        _, video = heapq.heappop(heap)
+        counts[video] += 1
+        remaining -= 1
+        if counts[video] >= num_servers:
+            continue
+        cur = float(inv_next[video])
+        nxt = _advance_inv_b(cur, float(offered[video]), int(counts[video]) * step, step)
+        inv_next[video] = nxt
+        gain = float(probs[video]) * (1.0 / cur - 1.0 / nxt)
+        heapq.heappush(heap, (-gain, video))
+    inv_final = np.ones(num_videos)
+    slots = counts * step
+    for c in range(1, int(slots.max()) + 1):
+        advanced = np.minimum(1.0 + (c / offered) * inv_final, _INV_B_CAP)
+        inv_final = np.where(c <= slots, advanced, inv_final)
+    info = {
+        "algorithm": "large_cache",
+        "slots_per_replica": step,
+        "load_factor": float(load_factor),
+        "offered_erlangs": float(offered_total),
+        "predicted_blocked_fraction": float(probs @ (1.0 / inv_final)),
+    }
+    return counts, info
+
+
+class TestLargeCacheMatchesFullWidthLadder:
+    """The active-prefix final ladder against the full-width one."""
+
+    @pytest.mark.parametrize("scale", ["paper", "cache"])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.6, 0.9, 1.2])
+    def test_counts_and_info_exact(self, scale, theta):
+        from repro.experiments.cache_scale_sweep import cache_scale_setup
+        from repro.experiments.config import PaperSetup
+
+        setup = PaperSetup() if scale == "paper" else cache_scale_setup()
+        probs = setup.popularity(theta).probabilities
+        for degree in (1.2, 4.0):
+            budget = setup.replica_budget(degree)
+            result = large_cache_replication(probs, setup.num_servers, budget)
+            counts, info = _full_width_large_cache(probs, setup.num_servers, budget)
+            assert np.array_equal(result.replica_counts, counts)
+            assert result.info == info
 
 
 class TestP2P:
