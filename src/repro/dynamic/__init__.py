@@ -3,21 +3,19 @@
 The paper notes "the replication algorithms can be applied for dynamic
 replication during run-time" (that is why the Zipf-interval algorithm's
 lower time complexity matters) but evaluates only the static, a-priori
-setting.  This package closes that gap:
+setting.  The run-time loop itself is the serving control plane
+(:class:`repro.serving.ServingControlPlane`); this package holds the
+building blocks it re-plans with:
 
 * :mod:`repro.dynamic.drift` — popularity-drift models (rank churn, new
-  releases, multiplicative noise) driving non-stationary workloads.
+  releases, multiplicative noise) driving non-stationary workloads, and
+  the drift detector that gates re-planning.
 * :mod:`repro.dynamic.tracker` — online popularity estimation (EWMA over
   per-epoch request counts).
 * :mod:`repro.dynamic.migration` — re-planning that minimizes replica
   movement between consecutive layouts and accounts migration bytes.
-* :mod:`repro.dynamic.controller` — the epoch loop: observe, re-estimate,
-  re-replicate, migrate.
-* :mod:`repro.dynamic.epoch_sim` — multi-epoch simulation comparing
-  static planning, tracked re-planning and an oracle re-planner.
 """
 
-from .controller import DynamicReplicationController
 from .drift import (
     DriftDetector,
     LognormalDrift,
@@ -26,20 +24,16 @@ from .drift import (
     RankSwapDrift,
     ReleaseChurnDrift,
 )
-from .epoch_sim import EpochRecord, run_epoch_study
 from .migration import MigrationPlan, plan_migration
 from .tracker import EwmaPopularityTracker
 
 __all__ = [
-    "DynamicReplicationController",
     "DriftDetector",
     "LognormalDrift",
     "NoDrift",
     "PopularityDrift",
     "RankSwapDrift",
     "ReleaseChurnDrift",
-    "EpochRecord",
-    "run_epoch_study",
     "MigrationPlan",
     "plan_migration",
     "EwmaPopularityTracker",

@@ -1,17 +1,19 @@
 """E11 — dynamic replication under popularity drift (extension).
 
 The paper says its replication algorithms "can be applied for dynamic
-replication during run-time"; this experiment runs that loop.  Over a
-sequence of daily peak periods whose true popularity drifts (new-release
-churn), it compares:
+replication during run-time"; this experiment runs that loop on the
+serving control plane.  Over a sequence of daily peak periods at a flat
+arrival rate whose true popularity drifts (new-release churn), it
+compares three configurations of one plane:
 
-* **static** — the paper's plan-once strategy,
-* **tracked** — re-plan each epoch from EWMA-estimated counts with a
-  migration budget (the practical system),
-* **oracle** — re-plan from the true popularity (the upper bound),
+* **static** — the paper's plan-once strategy (``replan="never"``),
+* **tracked** — re-plan every epoch from the EWMA-estimated counts of the
+  epochs served so far, under a migration budget (``replan="always"``),
+* **oracle** — re-solve each epoch on its true popularity (the upper
+  bound, :func:`repro.serving.chain_batch_epochs` with ``resolve=True``),
 
 reporting per-epoch rejection and the cumulative migration traffic the
-adaptation costs.
+adaptation costs.  All three face the identical per-epoch traces.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.tables import format_series, format_table
-from ..dynamic import ReleaseChurnDrift, run_epoch_study
+from ..dynamic import ReleaseChurnDrift
+from ..serving import ServingConfig, ServingControlPlane, chain_batch_epochs
 from .config import PaperSetup
 
 __all__ = ["run_dynamic_study", "format_dynamic_study"]
@@ -43,33 +46,35 @@ def run_dynamic_study(
     setup = setup or PaperSetup()
     if releases_per_epoch is None:
         releases_per_epoch = max(setup.num_videos // 20, 1)
-    cluster = setup.cluster(degree)
-    videos = setup.videos()
-    records = run_epoch_study(
-        cluster,
-        videos,
-        setup.popularity(setup.theta_high).probabilities,
-        ReleaseChurnDrift(releases_per_epoch),
-        epochs=epochs,
-        arrival_rate_per_min=arrival_fraction * setup.saturation_rate_per_min,
-        peak_minutes=setup.peak_minutes,
-        capacity_replicas=setup.capacity_replicas(degree),
+    rate = arrival_fraction * setup.saturation_rate_per_min
+    config = ServingConfig(
+        theta=setup.theta_high,
+        replication_degree=degree,
+        setup=setup,
+        base_rate_per_min=rate,
+        peak_rate_per_min=rate,
+        drift=ReleaseChurnDrift(releases_per_epoch),
+        replan="always",
+        tracker_alpha=0.5,
         move_budget=move_budget,
         seed=setup.seed,
+        epochs=epochs,
     )
-    strategies = ("static", "tracked", "oracle")
-    curves = {
-        s: [r.rejection_rate for r in records if r.strategy == s]
-        for s in strategies
-    }
-    copied = {
-        s: int(sum(r.replicas_copied for r in records if r.strategy == s))
-        for s in strategies
-    }
+    static = ServingControlPlane(config.frozen()).run()
+    tracked = ServingControlPlane(config).run()
+    oracle = chain_batch_epochs(config, resolve=True)
     return {
         "epochs": list(range(epochs)),
-        "curves": curves,
-        "replicas_copied": copied,
+        "curves": {
+            "static": [s.rejection_rate for s in static.snapshots],
+            "tracked": [s.rejection_rate for s in tracked.snapshots],
+            "oracle": [r.rejection_rate for r in oracle],
+        },
+        "replicas_copied": {
+            "static": static.total_replicas_copied,
+            "tracked": tracked.total_replicas_copied,
+            "oracle": 0,
+        },
         "releases_per_epoch": releases_per_epoch,
         "replica_storage_gb": setup.replica_storage_gb,
     }

@@ -5,14 +5,14 @@ Three zero-dependency building blocks behind one facade:
 * :class:`MetricsRegistry` — counters, gauges, fixed-bucket
   :class:`Histogram`\\ s and periodic :class:`TimeSeries` samples;
 * :class:`Tracer` — structured events (spans, sampled simulator
-  arrivals/departures, SA temperature levels, migration plans) with JSONL
+  arrivals/departures, SA temperature levels, serving epochs) with JSONL
   round-trip via :meth:`Tracer.write_jsonl` / :func:`read_jsonl`;
 * :func:`timed` — phase profiling folded into any sink exposing
   ``record_phase`` (``RunReport``, :class:`Observer`) or a plain dict.
 
 :class:`Observer` bundles all three and is what the instrumented
 subsystems accept through their optional ``observer=`` parameter
-(simulator runs, annealing runs, dynamic-replication epochs, the parallel
+(simulator runs, annealing runs, serving-plane epochs, the parallel
 runner).  With ``observer=None`` (the default) every instrumented hot
 path runs unobserved, and an observed simulation returns the same result
 as a plain one (``tests/test_observe.py``).

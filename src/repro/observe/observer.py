@@ -9,14 +9,14 @@ calls through its optional ``observer=`` parameter:
   sampled arrival/departure trace events, counter/gauge rollups;
 * ``SimulatedAnnealer.run(..., observer=obs)`` — per-temperature-level
   acceptance traces and step counters;
-* ``DynamicReplicationController(..., observer=obs)`` — per-epoch
-  migration-plan events and copy counters;
+* ``ServingControlPlane(..., observer=obs)`` — per-epoch serving
+  events and re-plan/copy/elasticity counters;
 * ``ParallelRunner(..., observer=obs)`` — batch counters plus per-phase
   wall time (also folded into the :class:`repro.runtime.RunReport`).
 
 The instrumented modules never import this package — the observer is
 duck-typed — so :mod:`repro.cluster_sim`, :mod:`repro.annealing` and
-:mod:`repro.dynamic` stay import-independent of the observability layer,
+:mod:`repro.serving` stay import-independent of the observability layer,
 and the ``observer=None`` default keeps their hot paths untouched.
 
 Simulation folds are *deferred*: :meth:`Observer.record_simulation` only
@@ -60,8 +60,8 @@ class ObserverConfig:
     trace_event_every:
         Keep every N-th arrival and departure when ``trace_events`` is on
         (1 = every event; raise for long traces).
-    trace_sa_levels / trace_migrations:
-        Emit per-level annealing events / per-epoch migration events.
+    trace_sa_levels:
+        Emit per-level annealing events.
     max_trace_events:
         Tracer hard cap; events beyond it are counted as dropped.
     """
@@ -70,7 +70,6 @@ class ObserverConfig:
     trace_events: bool = False
     trace_event_every: int = 100
     trace_sa_levels: bool = True
-    trace_migrations: bool = True
     max_trace_events: int = 1_000_000
 
     def __post_init__(self) -> None:
@@ -348,29 +347,6 @@ class Observer:
             final_cost=result.final_cost,
             wall_sec=result.wall_time_sec,
         )
-
-    # ------------------------------------------------------------------
-    # Dynamic-replication hook
-    # ------------------------------------------------------------------
-    def migration_event(self, *, epoch: int, plan) -> None:
-        """Record one epoch's migration plan (a ``MigrationPlan``)."""
-        self.registry.counter("dynamic.epochs").inc()
-        if plan.executed:
-            self.registry.counter("dynamic.replicas_copied").inc(
-                plan.replicas_copied
-            )
-        else:
-            self.registry.counter("dynamic.skipped_epochs").inc()
-        if self.config.trace_migrations:
-            self.tracer.emit(
-                "migration",
-                epoch=epoch,
-                executed=plan.executed,
-                replicas_copied=plan.replicas_copied,
-                proposed_copies=plan.proposed_copies,
-                added=len(plan.added),
-                removed=len(plan.removed),
-            )
 
     # ------------------------------------------------------------------
     # Serving-control-plane hook

@@ -7,7 +7,7 @@ so they are safe to use from the simulator hot loop's *cold* branches and
 cost nothing when the subsystem is disabled.
 
 Naming convention: dotted lowercase paths grouped by subsystem
-(``sim.requests``, ``sa.steps``, ``dynamic.replicas_copied``), mirroring
+(``sim.requests``, ``sa.steps``, ``serving.replicas_copied``), mirroring
 the canonical result-field schema in DESIGN.md.
 """
 

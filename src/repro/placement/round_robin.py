@@ -54,8 +54,6 @@ def round_robin_placement(
 
     servers = np.arange(stream.size) % num_servers
     matrix = np.zeros((replication.num_videos, num_servers), dtype=np.float64)
-    if np.any(matrix[stream, servers] > 0):  # pragma: no cover - structural
-        raise PlacementError("round-robin produced a duplicate assignment")
     matrix[stream, servers] = bit_rate_mbps
     # The cyclic deal guarantees Eq. 6 because each group spans consecutive
     # positions and r_i <= N; assert cheaply to catch representation bugs.

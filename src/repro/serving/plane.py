@@ -81,17 +81,20 @@ def replica_budget_for(config: ServingConfig, num_servers: int) -> int:
 
 
 def bootstrap_layout(
-    config: ServingConfig, num_servers: int | None = None
+    config: ServingConfig,
+    num_servers: int | None = None,
+    probabilities: np.ndarray | None = None,
 ) -> ReplicaLayout:
     """The initial deployment: Zipf-interval replication + SLF placement
-    from the Zipf prior (the batch pipeline's default design)."""
+    (the batch pipeline's default design) from *probabilities*, the Zipf
+    prior by default."""
     setup = config.setup
     n = setup.num_servers if num_servers is None else int(num_servers)
     capacity = setup.capacity_replicas(config.replication_degree)
+    if probabilities is None:
+        probabilities = setup.popularity(config.theta).probabilities
     replication = zipf_interval_replication(
-        setup.popularity(config.theta).probabilities,
-        n,
-        replica_budget_for(config, n),
+        probabilities, n, replica_budget_for(config, n)
     )
     return smallest_load_first_placement(
         replication, capacity, bit_rate_mbps=setup.bit_rate_mbps
@@ -618,7 +621,9 @@ class ServingControlPlane:
         )
 
 
-def chain_batch_epochs(config: ServingConfig) -> list[SimulationResult]:
+def chain_batch_epochs(
+    config: ServingConfig, *, resolve: bool = False
+) -> list[SimulationResult]:
     """The manually chained batch path: the bootstrap layout simulated on
     every epoch trace with a fresh simulator per epoch.
 
@@ -626,6 +631,10 @@ def chain_batch_epochs(config: ServingConfig) -> list[SimulationResult]:
     ``replan="never"`` and ``elastic=False`` the control plane must
     produce the same per-epoch :class:`SimulationResult`
     (:meth:`~SimulationResult.same_outcome`) as this chain.
+
+    ``resolve=True`` instead re-solves each epoch's layout on that
+    epoch's *true* popularity before simulating it: the clairvoyant
+    re-planner E11 uses as its upper bound.
     """
     plane = ServingControlPlane(config)
     layout = bootstrap_layout(config)
@@ -634,6 +643,8 @@ def chain_batch_epochs(config: ServingConfig) -> list[SimulationResult]:
     results: list[SimulationResult] = []
     for epoch in range(config.epochs):
         true_probs = evolve_popularity(config, epoch, true_probs)
+        if resolve:
+            layout = bootstrap_layout(config, num_servers, true_probs)
         traces = epoch_traces(config, epoch, true_probs)
         results.append(plane._simulate(epoch, layout, num_servers, traces))
     return results
