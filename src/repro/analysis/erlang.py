@@ -84,7 +84,7 @@ def _erlang_b_recurrence(
 
 
 def _erlang_b_closed_form(
-    loads: np.ndarray, servers: np.ndarray
+    loads: np.ndarray, servers: np.ndarray, log_factorial=None
 ) -> np.ndarray:
     """Loop-free Erlang-B: ``B(a, c) = Poisson pmf(c; a) / cdf(c; a)``.
 
@@ -97,12 +97,17 @@ def _erlang_b_closed_form(
     to the falling-factorial series for the inverse blocking
     ``I = sum_j (c)_j / a^j``, whose terms decay geometrically with ratio
     ``c / a`` exactly when the closed form is unsafe.
+
+    *log_factorial* is ``gammaln(servers + 1)`` when the caller already
+    holds it (a fixed point iterating against the same slots).
     """
+    if log_factorial is None:
+        log_factorial = _gammaln(servers + 1.0)
     # log(0) and 0 * -inf for zero-load entries; both are overwritten by
     # the zero-load convention in the caller.
     with np.errstate(divide="ignore", invalid="ignore"):
         log_load = np.log(loads)
-        log_pmf = servers * log_load - loads - _gammaln(servers + 1.0)
+        log_pmf = servers * log_load - loads - log_factorial
         cdf = _gammaincc(servers + 1.0, loads)
         unsafe = (cdf < 1e-290) & (loads > 0)
         blocking = np.where(
@@ -124,14 +129,8 @@ def _erlang_b_closed_form(
     return blocking
 
 
-def _erlang_b_array(offered_load: np.ndarray, num_servers) -> np.ndarray:
-    """Vectorized Erlang-B over broadcast ``(offered_load, num_servers)``.
-
-    Dispatches to the scipy closed form (loop-free) when available, else
-    the pure-numpy log-domain recurrence; both agree with the scalar
-    recurrence to ~1e-12 relative.
-    """
-    loads = np.asarray(offered_load, dtype=np.float64)
+def _check_slots(num_servers) -> np.ndarray:
+    """``num_servers`` as a validated integer array (rounded if float)."""
     servers = np.asarray(num_servers)
     if not np.issubdtype(servers.dtype, np.integer):
         rounded = np.rint(servers)
@@ -140,19 +139,55 @@ def _erlang_b_array(offered_load: np.ndarray, num_servers) -> np.ndarray:
         servers = rounded.astype(np.int64)
     if np.any(servers < 0):
         raise ValueError("num_servers must be >= 0")
+    return servers
+
+
+def _erlang_b_checked(
+    offered_load, servers: np.ndarray, log_factorial=None
+) -> np.ndarray:
+    """Vectorized Erlang-B against slot counts already through
+    :func:`_check_slots`; the offered loads are validated here."""
+    loads = np.asarray(offered_load, dtype=np.float64)
     if np.any(loads < 0) or not np.all(np.isfinite(loads)):
         raise ValueError("offered_load must be finite and >= 0")
     loads, servers = np.broadcast_arrays(loads, servers)
     loads = np.ascontiguousarray(loads)
     servers = np.ascontiguousarray(servers)
     if _gammaincc is not None:
-        blocking = _erlang_b_closed_form(loads, servers)
+        blocking = _erlang_b_closed_form(loads, servers, log_factorial)
     else:  # pragma: no cover - scipy present in the dev image
         blocking = _erlang_b_recurrence(loads, servers)
     # Zero offered load never blocks (on >= 1 servers); zero servers
     # always block — the same conventions as the scalar path.
     blocking = np.where(loads == 0.0, 0.0, blocking)
     return np.where(servers == 0, np.where(loads > 0.0, 1.0, 0.0), blocking)
+
+
+def _erlang_b_array(offered_load: np.ndarray, num_servers) -> np.ndarray:
+    """Vectorized Erlang-B over broadcast ``(offered_load, num_servers)``.
+
+    Dispatches to the scipy closed form (loop-free) when available, else
+    the pure-numpy log-domain recurrence; both agree with the scalar
+    recurrence to ~1e-12 relative.
+    """
+    return _erlang_b_checked(offered_load, _check_slots(num_servers))
+
+
+def _fixed_slots_erlang_b(num_servers):
+    """``offered_load -> B(offered_load, num_servers)`` for fixed slots.
+
+    The slot validation and the closed form's ``gammaln(c + 1)`` run once
+    here instead of on every call, so a fixed point that re-evaluates
+    Erlang-B against the same slots each iteration pays only for the
+    load-dependent terms.  Results are bit-identical to :func:`erlang_b`.
+    """
+    servers = _check_slots(num_servers)
+    log_factorial = None if _gammaln is None else _gammaln(servers + 1.0)
+
+    def blocking(offered_load) -> np.ndarray:
+        return _erlang_b_checked(offered_load, servers, log_factorial)
+
+    return blocking
 
 
 def erlang_b(offered_load, num_servers):

@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._validation import check_non_negative, check_probability_vector
-from .erlang import erlang_b
+from .erlang import _fixed_slots_erlang_b, erlang_b
 from ..model.cluster import ClusterSpec
 from ..model.layout import ReplicaLayout
 
@@ -297,6 +297,17 @@ def _fixed_rate_slots(
 # video's holders form one contiguous segment.  Every per-video or
 # per-server sum of the fixed point is a weighted ``np.bincount`` over
 # these indices, which costs O(replicas) rather than O(B * M * N).
+#
+# The overflow models split the list once per batch.  A single-replica
+# video offers its server a constant load: under first_fit its overflow
+# is exp(0) = 1, so it offers exactly a_i; under least_loaded its loss
+# is its holder's L_k and its free probability 1 - L_k, so it offers
+# a_i (1 - L_k) / (1 - L_k), i.e. a_i, or 0 by the ``free > 0`` guard
+# where L_k is exactly 1.  Their a_i are summed per server once into
+# ``base``, which least_loaded scales by that per-server factor each
+# iteration; only multi-replica holders are gathered, bincounted and
+# exponentiated per iteration.  Exact in real arithmetic; in floating
+# point only the summation order of the per-server loads differs.
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -321,6 +332,21 @@ def _segmented_exclusive_cumsum(
     return exclusive - exclusive[starts][segment]
 
 
+def _split_by_replicas(
+    video_starts: np.ndarray, num_holders: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split a holder list into single- and multi-replica videos.
+
+    Returns ``(single, sizes, starts)``: the holder mask of the
+    single-replica videos, and the segment sizes and start offsets of
+    the multi-replica videos within the compacted ``holders[~single]``.
+    """
+    video_sizes = np.diff(np.r_[video_starts, num_holders])
+    single = np.repeat(video_sizes == 1, video_sizes)
+    sizes = video_sizes[video_sizes > 1]
+    return single, sizes, np.cumsum(sizes) - sizes
+
+
 def _complete_components(
     video: np.ndarray,
     server: np.ndarray,
@@ -336,26 +362,34 @@ def _complete_components(
     ``M/G/C/C`` system (the structure the simulator-agreement tests in
     ``tests/test_erlang.py`` validate).  Components are found by label
     propagation over the holder edges: each server's label falls to the
-    smallest server id reachable through shared videos.  Returns the
+    smallest server id reachable through shared videos.  Only
+    multi-replica videos join servers, so only their holders propagate;
+    a single-replica video's one label is its server's own.  Returns the
     sorted flat ``(video_ids, server_ids)`` of the complete components.
     """
-    by_server = np.argsort(server, kind="stable")
-    server_starts = _run_starts(server[by_server])
-    hosting = server[by_server][server_starts]
-    video_sizes = np.diff(np.r_[video_starts, video.size])
+    hosting = np.flatnonzero(np.bincount(server, minlength=num_server_ids))
+    single, multi_sizes, multi_starts = _split_by_replicas(
+        video_starts, video.size
+    )
     label = np.arange(num_server_ids)
-    while True:
-        video_label = np.minimum.reduceat(label[server], video_starts)
-        holder_label = np.repeat(video_label, video_sizes)
-        fresh = label.copy()
-        fresh[hosting] = np.minimum.reduceat(
-            holder_label[by_server], server_starts
-        )
-        # Labels are server ids of the same component: jump through them.
-        fresh = fresh[fresh]
-        if np.array_equal(fresh, label):
-            break
-        label = fresh
+    if multi_sizes.size:
+        multi_server = server[~single]
+        by_server = np.argsort(multi_server, kind="stable")
+        server_starts = _run_starts(multi_server[by_server])
+        linked = multi_server[by_server][server_starts]
+        while True:
+            video_label = np.minimum.reduceat(label[multi_server], multi_starts)
+            holder_label = np.repeat(video_label, multi_sizes)
+            fresh = label.copy()
+            fresh[linked] = np.minimum.reduceat(
+                holder_label[by_server], server_starts
+            )
+            # Labels are server ids of the same component: jump through
+            # them.
+            fresh = fresh[fresh]
+            if np.array_equal(fresh, label):
+                break
+            label = fresh
     holder_component = label[server]
     video_component = holder_component[video_starts]
     server_component = label[hosting]
@@ -424,50 +458,95 @@ def _evaluate_holders(
         )
     elif dispatcher in _OVERFLOW_DISPATCHERS:
         video_starts = _run_starts(video)
+        single, multi_sizes, multi_starts = _split_by_replicas(
+            video_starts, video.size
+        )
+        # Single-replica videos offer a constant load (see the block
+        # comment above): their a_i, summed per server, is ``base``.
+        base = np.bincount(
+            server[single], offered[video[single]], minlength=num_server_ids
+        ).astype(np.float64, copy=False)
+        # Multi-replica holders, re-indexed by their video's segment.
+        multi_server = server[~single]
+        multi_segment = np.repeat(np.arange(multi_sizes.size), multi_sizes)
+        multi_offered = offered[video[~single][multi_starts]]
+        has_multi = multi_sizes.size > 0
         if dispatcher in _ORDERED_DISPATCHERS:
-            segment = np.repeat(
-                np.arange(video_starts.size),
-                np.diff(np.r_[video_starts, video.size]),
-            )
-            holder_offered = offered[video]
+            holder_offered = multi_offered[multi_segment]
+        erlang_b_of = _fixed_slots_erlang_b(slots)
         per_server_blocking = np.zeros((num_layouts, num_servers))
         iterations = 0
         residual = np.inf
         converged = False
         for iterations in range(1, spec.max_iterations + 1):
+            blocking = per_server_blocking.ravel()
             # Clamp away from 0 so a holder on a never-blocking server
             # contributes log(1e-300) and its loss underflows to the
             # correct 0.
-            log_blocking = np.log(np.maximum(per_server_blocking, 1e-300))
-            holder_log = log_blocking.ravel()[server]
+            log_blocking = np.log(np.maximum(blocking, 1e-300))
             if dispatcher in _ORDERED_DISPATCHERS:
                 # Ordered hunt: video i offers a_i to its lowest-id
                 # holder; server k only sees the overflow of i's earlier
                 # holders, prod_{j in S_i, j < k} L_j (exclusive cumsum
-                # of the log blockings along the video's segment).
-                overflow = np.exp(
-                    _segmented_exclusive_cumsum(
-                        holder_log, video_starts, segment
+                # of the log blockings along the video's segment).  A
+                # single replica sees no overflow: it offers all of a_i.
+                flat_offered = base
+                if has_multi:
+                    overflow = np.exp(
+                        _segmented_exclusive_cumsum(
+                            log_blocking[multi_server],
+                            multi_starts,
+                            multi_segment,
+                        )
                     )
-                )
-                per_server_offered = per_server(holder_offered * overflow)
+                    flat_offered = flat_offered + np.bincount(
+                        multi_server,
+                        holder_offered * overflow,
+                        minlength=num_server_ids,
+                    )
             else:
-                # Per-video loss: every holder full (independence
-                # approximation).
-                loss = np.where(placed, np.exp(per_video(holder_log)), 1.0)
                 # Proportional split: carried streams spread over holders
                 # by free probability; the offered load a server sees is
                 # carried / (1 - L_k), which cancels to this denominator
-                # form.
-                free = per_video(1.0 - per_server_blocking.ravel()[server])
-                demand = np.divide(
-                    offered * (1.0 - loss),
+                # form.  A single-replica video's loss is its one
+                # holder's L_k, so its demand is a_i times a per-server
+                # factor.
+                free = 1.0 - blocking
+                factor = np.divide(
+                    1.0 - np.exp(log_blocking),
                     free,
                     out=np.zeros_like(free),
                     where=free > 0,
                 )
-                per_server_offered = per_server(demand[video])
-            fresh = erlang_b(per_server_offered, slots)
+                flat_offered = base * factor
+                if has_multi:
+                    # Per-video loss: every holder full (independence
+                    # approximation).
+                    loss = np.exp(
+                        np.bincount(
+                            multi_segment,
+                            log_blocking[multi_server],
+                            minlength=multi_sizes.size,
+                        )
+                    )
+                    multi_free = np.bincount(
+                        multi_segment,
+                        free[multi_server],
+                        minlength=multi_sizes.size,
+                    )
+                    demand = np.divide(
+                        multi_offered * (1.0 - loss),
+                        multi_free,
+                        out=np.zeros_like(multi_free),
+                        where=multi_free > 0,
+                    )
+                    flat_offered = flat_offered + np.bincount(
+                        multi_server,
+                        demand[multi_segment],
+                        minlength=num_server_ids,
+                    )
+            per_server_offered = flat_offered.reshape(num_layouts, num_servers)
+            fresh = erlang_b_of(per_server_offered)
             step = spec.damping * (fresh - per_server_blocking)
             per_server_blocking = per_server_blocking + step
             residual = float(np.abs(step).max()) if step.size else 0.0

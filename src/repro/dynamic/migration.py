@@ -19,7 +19,7 @@ so experiments can weigh availability gains against migration traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,15 +76,6 @@ class MigrationPlan:
     added: tuple[tuple[int, int], ...]
     removed: tuple[tuple[int, int], ...]
     replicas_copied: int
-    #: False when a controller rejected the plan (over move budget); the
-    #: layout is then unchanged and ``replicas_copied`` is 0, while
-    #: ``proposed_copies`` records what the rejected plan would have cost.
-    executed: bool = True
-    proposed_copies: int = 0
-
-    def __post_init__(self) -> None:
-        if self.executed and self.proposed_copies == 0:
-            object.__setattr__(self, "proposed_copies", self.replicas_copied)
 
     def bytes_moved_gb(self, replica_storage_gb: float) -> float:
         """Migration traffic for fixed-size replicas."""

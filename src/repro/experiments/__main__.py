@@ -12,7 +12,9 @@ also writes them to ``<out>/<name>.txt``.  Simulations run through the
 and results are cached under ``results/cache/`` (disable with
 ``--no-cache``) so re-running a sweep only simulates new design points.
 A structured run report (trials, cache hit rate, events/sec) follows each
-experiment.
+experiment whose simulations ran through the runner; an experiment that
+simulates outside it (the serving plane, the analytical sweeps) gets a
+one-line note instead of a report of zeros.
 """
 
 from __future__ import annotations
@@ -119,7 +121,13 @@ def main(argv: list[str] | None = None) -> int:
             elapsed = time.perf_counter() - start
             print(f"=== {name} ({elapsed:.1f}s) ===")
             print(report)
-            print(runner.report.format())
+            if runner.report.num_trials:
+                print(runner.report.format())
+            else:
+                print(
+                    "run report: no trials through the runner "
+                    "(the experiment simulated outside it)"
+                )
             print()
             if args.out is not None:
                 args.out.mkdir(parents=True, exist_ok=True)

@@ -147,19 +147,6 @@ class CacheProportionalReplicator(Replicator):
         return cache_proportional_replication(popularity, num_servers, budget)
 
 
-def _advance_inv_b(inv_b: float, offered: float, slots_from: int, step: int) -> float:
-    """Advance ``1/B(a, c)`` from ``c = slots_from`` by ``step`` slots.
-
-    Uses the inverse Erlang-B recurrence ``I_c = 1 + (c / a) I_{c-1}``
-    (``I_0 = 1``), capped so deep-tail groups cannot overflow float64.
-    """
-    for c in range(slots_from + 1, slots_from + step + 1):
-        inv_b = 1.0 + (c / offered) * inv_b
-        if inv_b > _INV_B_CAP:
-            return _INV_B_CAP
-    return inv_b
-
-
 def large_cache_replication(
     popularity: np.ndarray,
     num_servers: int,
@@ -207,23 +194,38 @@ def large_cache_replication(
     for c in range(step + 1, 2 * step + 1):
         inv_next = np.minimum(1.0 + (c / offered) * inv_next, _INV_B_CAP)
 
-    counts = np.ones(num_videos, dtype=np.int64)
     remaining = budget - num_videos
     gains = probs * (1.0 / inv_cur - 1.0 / inv_next)
     heap = list(zip((-gains).tolist(), range(num_videos))) if num_servers > 1 else []
     heapq.heapify(heap)
+    # The greedy loop runs on plain Python lists: one pop touches one
+    # video, so per-element numpy indexing would only add overhead.
+    counts_list = [1] * num_videos
+    offered_list = offered.tolist()
+    inv_next_list = inv_next.tolist()
+    probs_list = probs.tolist()
     while remaining > 0 and heap:
-        neg_gain, video = heapq.heappop(heap)
-        counts[video] += 1
+        _, video = heapq.heappop(heap)
+        count = counts_list[video] + 1
+        counts_list[video] = count
         remaining -= 1
-        if counts[video] >= num_servers:
+        if count >= num_servers:
             continue
-        a_i = float(offered[video])
-        cur = float(inv_next[video])
-        nxt = _advance_inv_b(cur, a_i, int(counts[video]) * step, step)
-        inv_cur[video], inv_next[video] = cur, nxt
-        gain = float(probs[video]) * (1.0 / cur - 1.0 / nxt)
+        # Advance 1/B(a, c) by one replica's slots with the inverse
+        # Erlang-B recurrence I_c = 1 + (c / a) I_{c-1}, capped so
+        # deep-tail videos cannot overflow float64.
+        a_i = offered_list[video]
+        cur = inv_next_list[video]
+        nxt = cur
+        for c in range(count * step + 1, (count + 1) * step + 1):
+            nxt = 1.0 + (c / a_i) * nxt
+            if nxt > _INV_B_CAP:
+                nxt = _INV_B_CAP
+                break
+        inv_next_list[video] = nxt
+        gain = probs_list[video] * (1.0 / cur - 1.0 / nxt)
         heapq.heappush(heap, (-gain, video))
+    counts = np.array(counts_list, dtype=np.int64)
     # Recompute the final per-video blocking so the reported objective is
     # exact at the final counts.  Videos sorted by slot count, descending,
     # make the ladder an active prefix: at step ``c`` only the videos with

@@ -366,10 +366,10 @@ def fuzz(
     """Run a fuzz campaign; shrink + serialize failures when a dir is given.
 
     ``chaos=True`` forces failure injection on in every DES case (the CI
-    chaos-smoke configuration), so all 200 smoke cases exercise the
+    ``fuzz-campaigns`` chaos entry), so all 200 smoke cases exercise the
     crash/repair/failover machinery rather than the ~50% the default draw
     would.  ``serving=True`` draws serving control-plane cases instead of
-    the des/sa mix (the CI serving-smoke configuration); the default mix
+    the des/sa mix (the CI ``fuzz-campaigns`` serving entry); the default mix
     is untouched so historical campaign digests stay stable.
     ``adversarial=True`` layers mid-horizon popularity shifts (inversion,
     hotset flip, theta ramp — :mod:`repro.workload.adversarial`) onto

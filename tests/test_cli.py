@@ -86,3 +86,28 @@ class TestExecution:
         cli.main(["all"])
         assert seen == ["one", "two"]
         capsys.readouterr()
+
+    def test_run_report_only_for_runner_trials(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro.runtime import get_runner
+
+        def outside(quick=False, chart=False):
+            return "OUTSIDE"
+
+        def through(quick=False, chart=False):
+            get_runner().report.num_trials += 3
+            return "THROUGH"
+
+        monkeypatch.setattr(
+            cli, "EXPERIMENTS", {"outside": outside, "through": through}
+        )
+        cli.main(["all", "--no-cache", "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        outside_part, through_part = out.split("=== through")
+        assert "0 trials" not in outside_part
+        assert "run report: no trials through the runner" in outside_part
+        assert "run report: 3 trials" in through_part
+        assert "no trials through the runner" not in through_part
+        assert (tmp_path / "outside.txt").read_text() == "OUTSIDE\n"
+        assert (tmp_path / "through.txt").read_text() == "THROUGH\n"

@@ -399,7 +399,7 @@ class TestMigrationUnderFailure:
         plan = plan_migration(
             bootstrap, zipf_interval_replication(estimate, 4, 40), 10
         )
-        assert plan.executed
+        assert not plan.is_noop and plan.replicas_copied > 0
 
         cluster = ClusterSpec.homogeneous(
             4, storage_gb=1.0e6, bandwidth_mbps=500.0

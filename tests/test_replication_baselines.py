@@ -22,7 +22,6 @@ from repro.replication import (
 from repro.replication.base import validate_replication_inputs
 from repro.replication.cache_alloc import (
     _INV_B_CAP,
-    _advance_inv_b,
     box_waterfill_targets,
     round_targets,
 )
@@ -212,6 +211,16 @@ class TestLargeCache:
             large_cache_replication(probs, 4, 20, slots_per_replica=0)
         with pytest.raises(ValueError, match="load_factor"):
             large_cache_replication(probs, 4, 20, load_factor=0.0)
+
+
+def _advance_inv_b(inv_b, offered, slots_from, step):
+    """Advance ``1/B(a, c)`` from ``c = slots_from`` by ``step`` slots with
+    the capped inverse Erlang-B recurrence ``I_c = 1 + (c / a) I_{c-1}``."""
+    for c in range(slots_from + 1, slots_from + step + 1):
+        inv_b = 1.0 + (c / offered) * inv_b
+        if inv_b > _INV_B_CAP:
+            return _INV_B_CAP
+    return inv_b
 
 
 def _full_width_large_cache(popularity, num_servers, budget, step=15, load_factor=0.9):

@@ -410,24 +410,40 @@ def _random_presence(rng, kind, num_videos, num_servers):
                 presence[block] = True
             else:
                 presence[block] = rng.random(presence[block].shape) < 0.5
+    elif kind == "cache":
+        # The large-cache regime: one replica for most videos, two or
+        # three for a few.
+        hosts = rng.integers(num_servers, size=num_videos)
+        presence[np.arange(num_videos), hosts] = True
+        multi = rng.choice(num_videos, size=num_videos // 8, replace=False)
+        for video in multi:
+            extra = rng.choice(num_servers, size=2, replace=False)
+            presence[video, extra] = True
     # Leave some videos unplaced, but never the whole layout.
     presence[rng.random(num_videos) < 0.15] = False
+    if kind == "cache":
+        # Server 0 (zero slots in a cache batch) always hosts a
+        # single-replica video, and at least one video is multi-replica.
+        presence[0] = False
+        presence[0, 0] = True
+        presence[-1, rng.choice(num_servers, size=2, replace=False)] = True
     if not presence.any():
         presence[0, 0] = True
     return presence
 
 
-def _random_batch(seed):
+def _random_batch(seed, kinds=("full", "single_copy", "sparse", "mixed")):
     rng = np.random.default_rng(seed)
     num_videos = int(rng.integers(4, 30))
     num_servers = int(rng.integers(2, 8))
-    kinds = ("full", "single_copy", "sparse", "mixed")
     presences = [
         _random_presence(rng, str(kind), num_videos, num_servers)
         for kind in rng.choice(kinds, size=int(rng.integers(1, 6)))
     ]
     # Some servers below one stream slot (bandwidth < bit rate).
     bandwidth = rng.choice([2.0, 40.0, 80.0, 120.0], size=num_servers)
+    if "cache" in kinds:
+        bandwidth[0] = 2.0
     cluster = ClusterSpec(
         ServerSpec(storage_gb=1.0e6, bandwidth_mbps=float(mbps))
         for mbps in bandwidth
@@ -442,34 +458,134 @@ def _random_batch(seed):
     return layouts, workload, cluster
 
 
+def _assert_matches_dense_oracle(
+    layouts, workload, cluster, dispatcher, spec=FixedPointSpec()
+):
+    got = evaluate_layouts(
+        layouts, workload, cluster, dispatcher=dispatcher, fixed_point=spec
+    )
+    presence = np.stack([layout.presence for layout in layouts])
+    slots = server_stream_slots(cluster, layouts[0])
+    want = _dense_oracle(presence, slots, workload, dispatcher, spec)
+    np.testing.assert_allclose(
+        got.rejection_rates, want.rejection_rates, rtol=0, atol=1e-9
+    )
+    np.testing.assert_allclose(
+        got.per_video_blocking, want.per_video_blocking, rtol=0, atol=1e-9
+    )
+    np.testing.assert_allclose(
+        got.per_server_blocking,
+        want.per_server_blocking,
+        rtol=0,
+        atol=1e-9,
+    )
+    assert got.diagnostics.converged == want.diagnostics.converged
+    assert abs(got.diagnostics.iterations - want.diagnostics.iterations) <= 1
+
+
+def _assert_components_match_breadth_first(layouts):
+    num_videos, num_servers = layouts[0].num_videos, layouts[0].num_servers
+    videos, servers = [], []
+    for index, layout in enumerate(layouts):
+        rows, cols = np.nonzero(layout.rate_matrix)
+        videos.append(rows + index * num_videos)
+        servers.append(cols + index * num_servers)
+    video, server = np.concatenate(videos), np.concatenate(servers)
+    found = {
+        (tuple(v.tolist()), tuple(s.tolist()))
+        for v, s in _complete_components(
+            video, server, _run_starts(video), len(layouts) * num_servers
+        )
+    }
+    expected = {
+        (
+            tuple((np.flatnonzero(v) + b * num_videos).tolist()),
+            tuple((np.flatnonzero(s) + b * num_servers).tolist()),
+        )
+        for b, layout in enumerate(layouts)
+        for v, s in _dense_pooled_components(layout.presence)
+    }
+    assert found == expected
+
+
+def _fixed_batch(presences, bandwidth):
+    """Layouts of *presences* on servers of *bandwidth* (4 Mb/s replicas)."""
+    num_videos = presences[0].shape[0]
+    cluster = ClusterSpec(
+        ServerSpec(storage_gb=1.0e6, bandwidth_mbps=float(mbps))
+        for mbps in bandwidth
+    )
+    weights = np.arange(num_videos, 0, -1, dtype=np.float64)
+    workload = SurrogateWorkload(
+        popularity=weights / weights.sum(),
+        arrival_rate_per_min=6.0,
+        holding_time_min=10.0,
+    )
+    layouts = [ReplicaLayout(np.where(p, 4.0, 0.0)) for p in presences]
+    return layouts, workload, cluster
+
+
 class TestHolderListMatchesDenseOracle:
     @pytest.mark.parametrize("dispatcher", DISPATCHERS)
     @pytest.mark.parametrize("seed", range(40))
     def test_random_batches(self, dispatcher, seed):
-        layouts, workload, cluster = _random_batch(seed)
-        spec = FixedPointSpec()
-        got = evaluate_layouts(
-            layouts, workload, cluster, dispatcher=dispatcher
+        _assert_matches_dense_oracle(*_random_batch(seed), dispatcher)
+
+    @pytest.mark.parametrize("dispatcher", DISPATCHERS)
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cache_batches(self, dispatcher, seed):
+        # Mostly single-replica videos (the constant per-server load of
+        # the overflow fixed point), a few multi-replica ones, and a
+        # zero-slot server hosting single-replica videos.
+        _assert_matches_dense_oracle(
+            *_random_batch(seed, kinds=("cache",)), dispatcher
         )
-        presence = np.stack([layout.presence for layout in layouts])
-        slots = server_stream_slots(cluster, layouts[0])
-        want = _dense_oracle(presence, slots, workload, dispatcher, spec)
-        np.testing.assert_allclose(
-            got.rejection_rates, want.rejection_rates, rtol=0, atol=1e-9
+
+    @pytest.mark.parametrize("dispatcher", DISPATCHERS)
+    def test_batch_without_multi_replica_videos(self, dispatcher):
+        # Every placed video has one replica; server 0 has zero slots.
+        layouts, workload, cluster = self._single_replica_batch()
+        _assert_matches_dense_oracle(layouts, workload, cluster, dispatcher)
+        _assert_components_match_breadth_first(layouts)
+
+    @staticmethod
+    def _single_replica_batch():
+        one = np.zeros((6, 3), dtype=bool)
+        one[np.arange(6), [0, 1, 2, 0, 1, 1]] = True
+        other = np.zeros((6, 3), dtype=bool)
+        other[np.arange(5), [2, 2, 0, 1, 0]] = True
+        return _fixed_batch([one, other], [2.0, 40.0, 80.0])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_undamped_zero_slot_server(self, seed):
+        # Undamped, a loaded zero-slot server blocks with probability
+        # exactly 1 after one step, so its free probability is 0 and the
+        # single-replica demand takes the ``free > 0`` guard (0 / 0
+        # otherwise); the iteration then oscillates without converging.
+        spec = FixedPointSpec(damping=1.0, max_iterations=40)
+        batches = [self._single_replica_batch()]
+        batches.append(_random_batch(seed, kinds=("cache",)))
+        for layouts, workload, cluster in batches:
+            for dispatcher in ("least_loaded", "first_fit"):
+                _assert_matches_dense_oracle(
+                    layouts, workload, cluster, dispatcher, spec
+                )
+
+    @pytest.mark.parametrize("dispatcher", DISPATCHERS)
+    def test_batch_without_single_replica_videos(self, dispatcher):
+        # Every placed video has at least two replicas: a complete pair
+        # of servers (one with zero slots), an incomplete chain of three,
+        # an unplaced video, and a fully replicated layout.
+        pair = np.zeros((6, 5), dtype=bool)
+        pair[:3, :2] = True
+        pair[3, [2, 3]] = True
+        pair[4, [3, 4]] = True
+        layouts, workload, cluster = _fixed_batch(
+            [pair, np.ones((6, 5), dtype=bool)],
+            [2.0, 40.0, 80.0, 120.0, 40.0],
         )
-        np.testing.assert_allclose(
-            got.per_video_blocking, want.per_video_blocking, rtol=0, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            got.per_server_blocking,
-            want.per_server_blocking,
-            rtol=0,
-            atol=1e-9,
-        )
-        assert got.diagnostics.converged == want.diagnostics.converged
-        assert (
-            abs(got.diagnostics.iterations - want.diagnostics.iterations) <= 1
-        )
+        _assert_matches_dense_oracle(layouts, workload, cluster, dispatcher)
+        _assert_components_match_breadth_first(layouts)
 
     def test_cache_scale_batch(self):
         # One theta of the E17 grid: four N=100 x 10k layouts, every
@@ -512,28 +628,12 @@ class TestHolderListMatchesDenseOracle:
     @pytest.mark.parametrize("seed", range(40))
     def test_complete_components_match_breadth_first(self, seed):
         layouts, _, _ = _random_batch(seed)
-        num_videos, num_servers = layouts[0].num_videos, layouts[0].num_servers
-        videos, servers = [], []
-        for index, layout in enumerate(layouts):
-            rows, cols = np.nonzero(layout.rate_matrix)
-            videos.append(rows + index * num_videos)
-            servers.append(cols + index * num_servers)
-        video, server = np.concatenate(videos), np.concatenate(servers)
-        found = {
-            (tuple(v.tolist()), tuple(s.tolist()))
-            for v, s in _complete_components(
-                video, server, _run_starts(video), len(layouts) * num_servers
-            )
-        }
-        expected = {
-            (
-                tuple((np.flatnonzero(v) + b * num_videos).tolist()),
-                tuple((np.flatnonzero(s) + b * num_servers).tolist()),
-            )
-            for b, layout in enumerate(layouts)
-            for v, s in _dense_pooled_components(layout.presence)
-        }
-        assert found == expected
+        _assert_components_match_breadth_first(layouts)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cache_complete_components_match_breadth_first(self, seed):
+        layouts, _, _ = _random_batch(seed, kinds=("cache",))
+        _assert_components_match_breadth_first(layouts)
 
     def test_batches_cover_every_structure(self):
         # The random batches above must exercise what they claim to:
@@ -563,6 +663,25 @@ class TestHolderListMatchesDenseOracle:
         assert {"zero_slots", "unplaced", "full", "single_copy"} <= seen
         assert "mixed_components" in seen
         assert {("batch", size) for size in range(1, 6)} <= seen
+
+    def test_cache_batches_cover_their_structure(self):
+        # Every cache batch is mostly single-replica videos with a few
+        # multi-replica ones, and its zero-slot server 0 hosts
+        # single-replica videos; some layouts have an unplaced video.
+        unplaced = False
+        single = multi = 0
+        for seed in range(20):
+            layouts, _, cluster = _random_batch(seed, kinds=("cache",))
+            assert server_stream_slots(cluster, layouts[0])[0] == 0
+            for layout in layouts:
+                counts = layout.presence.sum(axis=1)
+                assert (counts > 1).any()
+                assert layout.presence[counts == 1, 0].any()
+                single += int((counts == 1).sum())
+                multi += int((counts > 1).sum())
+                unplaced |= bool((counts == 0).any())
+        assert single > 4 * multi
+        assert unplaced
 
 
 # ----------------------------------------------------------------------
