@@ -262,8 +262,9 @@ def server_stream_slots(
     fixed-rate (the Sec. 3.2/4.1 setting): every placed replica at one
     common bit rate.  Raises ``ValueError`` for scalable-rate layouts.
     """
-    rates = layout.rate_matrix[layout.rate_matrix > 0]
-    return _fixed_rate_slots(cluster, rates, layout.num_servers)
+    return _fixed_rate_slots(
+        cluster, layout.holder_index.rates, layout.num_servers
+    )
 
 
 def _fixed_rate_slots(
@@ -474,7 +475,12 @@ def _evaluate_holders(
         if dispatcher in _ORDERED_DISPATCHERS:
             holder_offered = multi_offered[multi_segment]
         erlang_b_of = _fixed_slots_erlang_b(slots)
+        # A zero-slot server carries no stream: it is pinned at blocking 1
+        # (Erlang-B's B(0, 0) = 0 would let an undamped iteration toggle
+        # it between 0 and 1 through the ``free > 0`` guard).
+        zero_slots = slots == 0
         per_server_blocking = np.zeros((num_layouts, num_servers))
+        per_server_blocking[:, zero_slots] = 1.0
         iterations = 0
         residual = np.inf
         converged = False
@@ -547,6 +553,7 @@ def _evaluate_holders(
                     )
             per_server_offered = flat_offered.reshape(num_layouts, num_servers)
             fresh = erlang_b_of(per_server_offered)
+            fresh[:, zero_slots] = 1.0
             step = spec.damping * (fresh - per_server_blocking)
             per_server_blocking = per_server_blocking + step
             residual = float(np.abs(step).max()) if step.size else 0.0
@@ -587,10 +594,12 @@ def _evaluate_holders(
             pooled = erlang_b(pool_offered, pool_slots)
             per_video_blocking[videos] = pooled
             flat_blocking[servers] = pooled
+            # A component without slots still sees its videos' load:
+            # split it evenly over the component's servers.
             share = (
                 tiled_slots[servers] / pool_slots
                 if pool_slots > 0
-                else np.full(servers.size, 0.0)
+                else np.full(servers.size, 1.0 / servers.size)
             )
             flat_offered[servers] = pool_offered * share
 

@@ -2,25 +2,29 @@
 
 A :class:`ReplicaLayout` answers, for every ``(video, server)`` pair, whether
 a replica of the video is stored on that server and at which encoding bit
-rate.  Because the representation is a matrix keyed by server, the paper's
-constraint Eq. (6) — all replicas of a video on *distinct* servers — holds by
-construction; the remaining constraints (Eq. 4, 5, 7) are checked by
-:meth:`ReplicaLayout.validate`.
+rate.  The paper writes a layout as an ``M x N`` rate matrix keyed by server,
+so the constraint Eq. (6) — all replicas of a video on *distinct* servers —
+holds by construction for a matrix; the remaining constraints (Eq. 4, 5, 7)
+are checked by :meth:`ReplicaLayout.validate`.
 
 The layout also knows how to compute the per-replica communication weights
 ``w_i = p_i / r_i`` (Sec. 3.2) and the expected per-server load they induce
 under the static round-robin dispatch assumption.
 
-Consumers that walk the replicas rather than the matrix (dispatch, the
-vector engine, the analytical surrogate) read one :class:`HolderIndex`,
-computed on first use and cached on the frozen layout.
+A layout holds its replicas in one of two forms and derives the other on
+first use, cached on the immutable layout: the dense ``rate_matrix``, or
+the :class:`HolderIndex` (per-video holder lists in CSR form) that
+consumers walking the replicas read (dispatch, the vector engine, the
+analytical surrogate).  ``ReplicaLayout(rate_matrix)`` is born dense;
+:meth:`ReplicaLayout.from_holders` is born from holder lists and builds the
+``(M, N)`` matrix only if a reader asks for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Sequence
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -41,8 +45,9 @@ class HolderIndex(NamedTuple):
 
     The holders of video ``i`` are ``indices[indptr[i]:indptr[i + 1]]``
     in ascending server order, and ``rates`` holds each replica's bit
-    rate at the same positions.  ``indptr`` has ``M + 1`` int64 offsets;
-    all three arrays are read-only.
+    rate at the same positions.  ``indptr`` has ``M + 1`` int64 offsets,
+    ``indices`` is int64 and ``rates`` float64; all three arrays are
+    read-only.
     """
 
     indptr: np.ndarray
@@ -50,7 +55,25 @@ class HolderIndex(NamedTuple):
     rates: np.ndarray
 
 
-@dataclass(frozen=True)
+def _index_array(name: str, values) -> np.ndarray:
+    """*values* as a fresh 1-D int64 array (``ValueError`` otherwise)."""
+    array = np.asarray(values)
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {array.shape}")
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {array.dtype}")
+    return array.astype(np.int64)
+
+
+def _check_index_range(name: str, array: np.ndarray, bound: int) -> None:
+    """Every entry of *array* must lie in ``[0, bound)``."""
+    bad = np.flatnonzero((array < 0) | (array >= bound))
+    if bad.size:
+        raise ValueError(
+            f"{name} index {array[bad[0]]} out of range [0, {bound - 1}]"
+        )
+
+
 class ReplicaLayout:
     """Immutable assignment of video replicas (and bit rates) to servers.
 
@@ -59,7 +82,9 @@ class ReplicaLayout:
     rate_matrix:
         ``(M, N)`` array; ``rate_matrix[i, k]`` is the encoding bit rate
         (Mb/s) of video ``i``'s replica on server ``k``, or ``0.0`` when the
-        server holds no replica of the video.
+        server holds no replica of the video.  The layout keeps a read-only
+        copy.  :meth:`from_holders` builds a layout from holder lists
+        instead, without the matrix.
 
     Notes
     -----
@@ -70,10 +95,8 @@ class ReplicaLayout:
     are replicated by the same video"); :meth:`validate` enforces that.
     """
 
-    rate_matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.rate_matrix, dtype=np.float64)
+    def __init__(self, rate_matrix: np.ndarray) -> None:
+        matrix = np.asarray(rate_matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError(f"rate_matrix must be 2-D, got shape {matrix.shape}")
         if matrix.shape[0] == 0 or matrix.shape[1] == 0:
@@ -82,11 +105,119 @@ class ReplicaLayout:
             raise ValueError("rate_matrix entries must be finite and >= 0")
         matrix = matrix.copy()
         matrix.setflags(write=False)
-        object.__setattr__(self, "rate_matrix", matrix)
+        # Seed the cached ``rate_matrix``; ``holder_index`` derives from it.
+        self.__dict__.update(_shape=matrix.shape, rate_matrix=matrix)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
+    @classmethod
+    def from_holders(
+        cls,
+        indptr=None,
+        indices=None,
+        rates=None,
+        *,
+        num_servers: int,
+        pairs=None,
+        rate: float | None = None,
+        num_videos: int | None = None,
+    ) -> "ReplicaLayout":
+        """Build a layout from its holder lists, without a dense matrix.
+
+        Two input forms:
+
+        * CSR — ``indptr`` (``M + 1`` offsets), ``indices`` (the holders
+          of each video in turn) and ``rates`` (one bit rate per replica),
+          the fields of a :class:`HolderIndex`;
+        * ``pairs=(videos, servers)`` — one ``(video, server)`` pair per
+          replica in any order, every replica at bit rate ``rate``, over
+          ``num_videos`` videos.
+
+        Holders are sorted into ascending server order per video.  The
+        checks cost O(replicas) (plus the sort of unsorted input) and fail
+        at construction: ``ValueError`` for an inconsistent ``indptr``, an
+        out-of-range video or server, or a rate that is not finite and
+        ``> 0``; :class:`LayoutViolation` for a server repeated within one
+        video (Eq. 6).  The layout's :attr:`rate_matrix` is then built on
+        first access only.
+        """
+        check_int_in_range("num_servers", num_servers, 1)
+        if pairs is not None:
+            if indptr is not None or indices is not None or rates is not None:
+                raise ValueError("pass either the CSR arrays or pairs, not both")
+            check_int_in_range("num_videos", num_videos, 1)
+            videos, servers = (
+                _index_array(name, values)
+                for name, values in zip(("videos", "servers"), pairs)
+            )
+            if videos.shape != servers.shape:
+                raise ValueError(
+                    f"pairs need one server per video, got {videos.size} "
+                    f"videos and {servers.size} servers"
+                )
+            _check_index_range("video", videos, num_videos)
+            _check_index_range("server", servers, num_servers)
+            if rate is None or not (np.isfinite(rate) and rate > 0):
+                raise ValueError(f"rate must be finite and > 0, got {rate!r}")
+            indptr = np.zeros(num_videos + 1, dtype=np.int64)
+            np.cumsum(np.bincount(videos, minlength=num_videos), out=indptr[1:])
+            order = np.argsort(videos * num_servers + servers, kind="stable")
+            indices = servers[order]
+            rates = np.full(indices.size, float(rate))
+        else:
+            if indptr is None or indices is None or rates is None:
+                raise ValueError("from_holders needs indptr, indices and rates")
+            if rate is not None or num_videos is not None:
+                raise ValueError("rate and num_videos go with pairs only")
+            indptr = _index_array("indptr", indptr)
+            indices = _index_array("indices", indices)
+            rates = np.array(rates, dtype=np.float64)
+            if indptr.size < 2:
+                raise ValueError("indptr needs M + 1 >= 2 offsets")
+            if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+                raise ValueError("indptr must start at 0 and be non-decreasing")
+            if indptr[-1] != indices.size:
+                raise ValueError(
+                    f"indptr ends at {indptr[-1]} but there are "
+                    f"{indices.size} indices"
+                )
+            if rates.shape != indices.shape:
+                raise ValueError(
+                    f"rates must have shape {indices.shape}, got {rates.shape}"
+                )
+            if not np.all(np.isfinite(rates) & (rates > 0)):
+                raise ValueError("rates must be finite and > 0")
+            _check_index_range("server", indices, num_servers)
+        num_videos = indptr.size - 1
+        video_of = np.repeat(np.arange(num_videos), np.diff(indptr))
+        same_video = video_of[1:] == video_of[:-1]
+        if np.any(same_video & (indices[1:] < indices[:-1])):
+            order = np.lexsort((indices, video_of))
+            indices, rates = indices[order], rates[order]
+        repeated = np.flatnonzero(same_video & (indices[1:] == indices[:-1]))
+        if repeated.size:
+            at = repeated[0]
+            raise LayoutViolation(
+                f"video {video_of[at]} assigned twice to one server "
+                f"({indices[at]}); replicas need distinct servers (Eq. 6)"
+            )
+        index = HolderIndex(indptr, indices, rates)
+        for array in index:
+            array.setflags(write=False)
+        layout = cls.__new__(cls)
+        # Seed the cached ``holder_index``; ``rate_matrix`` derives from it.
+        layout.__dict__.update(
+            _shape=(num_videos, num_servers), holder_index=index
+        )
+        return layout
+
     @classmethod
     def from_assignment(
         cls,
@@ -101,18 +232,14 @@ class ReplicaLayout:
         Duplicate servers within one video are rejected (they would merge
         into a single replica per the paper's Eq. 6 discussion).
         """
-        check_int_in_range("num_servers", num_servers, 1)
-        matrix = np.zeros((len(replica_servers), num_servers), dtype=np.float64)
-        for video, servers in enumerate(replica_servers):
-            servers = list(servers)
-            if len(set(servers)) != len(servers):
-                raise LayoutViolation(
-                    f"video {video} assigned twice to one server: {servers}"
-                )
-            for server in servers:
-                check_int_in_range("server index", server, 0, num_servers - 1)
-                matrix[video, server] = bit_rate_mbps
-        return cls(rate_matrix=matrix)
+        lists = [list(servers) for servers in replica_servers]
+        videos = np.repeat(np.arange(len(lists)), [len(s) for s in lists])
+        return cls.from_holders(
+            num_servers=num_servers,
+            pairs=(videos, list(chain.from_iterable(lists))),
+            rate=bit_rate_mbps,
+            num_videos=len(lists),
+        )
 
     @classmethod
     def empty(cls, num_videos: int, num_servers: int) -> "ReplicaLayout":
@@ -124,15 +251,29 @@ class ReplicaLayout:
     # ------------------------------------------------------------------
     # Basic views
     # ------------------------------------------------------------------
+    @cached_property
+    def rate_matrix(self) -> np.ndarray:
+        """Read-only ``(M, N)`` float64 rate matrix (0 where no replica).
+
+        A layout built from holder lists scatters its index into a fresh
+        matrix on first access and keeps it.
+        """
+        indptr, indices, rates = self.holder_index
+        matrix = np.zeros(self._shape)
+        videos = np.repeat(np.arange(self.num_videos), np.diff(indptr))
+        matrix[videos, indices] = rates
+        matrix.setflags(write=False)
+        return matrix
+
     @property
     def num_videos(self) -> int:
         """Number of videos ``M``."""
-        return int(self.rate_matrix.shape[0])
+        return int(self._shape[0])
 
     @property
     def num_servers(self) -> int:
         """Number of servers ``N``."""
-        return int(self.rate_matrix.shape[1])
+        return int(self._shape[1])
 
     @property
     def presence(self) -> np.ndarray:
@@ -142,11 +283,15 @@ class ReplicaLayout:
     @property
     def replica_counts(self) -> np.ndarray:
         """``r_i`` — number of replicas of each video."""
+        if "holder_index" in self.__dict__:
+            return np.diff(self.holder_index.indptr)
         return self.presence.sum(axis=1).astype(np.int64)
 
     @property
     def total_replicas(self) -> int:
         """Total number of replicas across the cluster."""
+        if "holder_index" in self.__dict__:
+            return int(self.holder_index.indptr[-1])
         return int(self.presence.sum())
 
     @property
@@ -171,7 +316,7 @@ class ReplicaLayout:
         One ``np.nonzero`` over the matrix yields the replicas in
         row-major order, i.e. sorted by video and then by server, which
         is exactly the CSR order; ``bincount`` turns the video ids into
-        offsets.
+        offsets.  A layout built from holder lists has it from birth.
         """
         videos, servers = np.nonzero(self.rate_matrix > 0)
         indptr = np.zeros(self.num_videos + 1, dtype=np.int64)
@@ -298,7 +443,7 @@ class ReplicaLayout:
         """
         if (self.num_videos, self.num_servers) != (videos.num_videos, cluster.num_servers):
             raise LayoutViolation(
-                f"layout shape {self.rate_matrix.shape} does not match "
+                f"layout shape {self._shape} does not match "
                 f"({videos.num_videos} videos, {cluster.num_servers} servers)"
             )
         # Per-video uniform rate (unless explicitly relaxed).

@@ -19,7 +19,8 @@ are distinct servers, and server ``s`` receives the replicas
 storage ``C`` whenever ``R = sum r_i <= N * C`` (guaranteed by
 :func:`~repro.placement.base.validate_placement_inputs`).  No server is
 full before the deal ends, so the per-server capacity skip of a
-step-by-step deal never fires and the whole deal is one scatter.
+step-by-step deal never fires and the whole deal is one list of
+``(video, server)`` pairs.
 """
 
 from __future__ import annotations
@@ -54,9 +55,12 @@ def p2p_stripe_placement(
             f"stripe deal puts {most_per_server} replicas on a server "
             f"with storage for {capacity_replicas}"
         )
-    matrix = np.zeros((replication.num_videos, num_servers), dtype=np.float64)
-    matrix[videos, np.arange(videos.size) % num_servers] = bit_rate_mbps
-    return ReplicaLayout(rate_matrix=matrix)
+    return ReplicaLayout.from_holders(
+        num_servers=num_servers,
+        pairs=(videos, np.arange(videos.size) % num_servers),
+        rate=bit_rate_mbps,
+        num_videos=replication.num_videos,
+    )
 
 
 class PopularityStripePlacer(Placer):

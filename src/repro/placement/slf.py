@@ -80,7 +80,8 @@ def smallest_load_first_placement(
         replication, capacity_replicas, bit_rate_mbps=bit_rate_mbps
     )
     num_servers = replication.num_servers
-    stream = sorted_replica_stream(replication).tolist()
+    videos = sorted_replica_stream(replication)
+    stream = videos.tolist()
     weights = replication.weights().tolist()
 
     loads = [0.0] * num_servers
@@ -100,9 +101,12 @@ def smallest_load_first_placement(
             weights,
         )
 
-    matrix = np.zeros((replication.num_videos, num_servers))
-    matrix[stream, servers] = bit_rate_mbps
-    return ReplicaLayout(rate_matrix=matrix)
+    return ReplicaLayout.from_holders(
+        num_servers=num_servers,
+        pairs=(videos, servers),
+        rate=bit_rate_mbps,
+        num_videos=replication.num_videos,
+    )
 
 
 def _place_round(

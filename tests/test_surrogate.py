@@ -322,6 +322,7 @@ def _dense_oracle(presence, slots, workload, dispatcher, spec):
         iterations, residual, converged = 1, 0.0, True
     else:
         per_server_blocking = np.zeros((num_layouts, num_servers))
+        per_server_blocking[:, slots == 0] = 1.0
         residual, converged = np.inf, False
         for iterations in range(1, spec.max_iterations + 1):
             log_blocking = np.log(np.maximum(per_server_blocking, 1e-300))
@@ -344,7 +345,9 @@ def _dense_oracle(presence, slots, workload, dispatcher, spec):
                     where=free > 0,
                 )
                 per_server_offered = np.einsum("bmn,bm->bn", presence, demand)
-            fresh = erlang_b(per_server_offered, slots)
+            fresh = np.where(
+                slots == 0, 1.0, erlang_b(per_server_offered, slots)
+            )
             step = spec.damping * (fresh - per_server_blocking)
             per_server_blocking = per_server_blocking + step
             residual = float(np.abs(step).max())
@@ -367,7 +370,7 @@ def _dense_oracle(presence, slots, workload, dispatcher, spec):
                 share = (
                     slots[servers] / pool_slots
                     if pool_slots > 0
-                    else np.full(int(servers.sum()), 0.0)
+                    else np.full(int(servers.sum()), 1.0 / servers.sum())
                 )
                 per_server_offered[b, servers] = pool_offered * share
     utilization = np.clip(
@@ -558,10 +561,11 @@ class TestHolderListMatchesDenseOracle:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_undamped_zero_slot_server(self, seed):
-        # Undamped, a loaded zero-slot server blocks with probability
-        # exactly 1 after one step, so its free probability is 0 and the
-        # single-replica demand takes the ``free > 0`` guard (0 / 0
-        # otherwise); the iteration then oscillates without converging.
+        # A zero-slot server is pinned at blocking 1, so its free
+        # probability is 0 and the single-replica demand takes the
+        # ``free > 0`` guard (0 / 0 otherwise) on every step; Erlang-B's
+        # B(0, 0) = 0 no longer sends it back to 0, so plain Picard
+        # iteration converges instead of oscillating.
         spec = FixedPointSpec(damping=1.0, max_iterations=40)
         batches = [self._single_replica_batch()]
         batches.append(_random_batch(seed, kinds=("cache",)))
@@ -570,6 +574,37 @@ class TestHolderListMatchesDenseOracle:
                 _assert_matches_dense_oracle(
                     layouts, workload, cluster, dispatcher, spec
                 )
+                result = evaluate_layouts(
+                    layouts,
+                    workload,
+                    cluster,
+                    dispatcher=dispatcher,
+                    fixed_point=spec,
+                )
+                assert result.diagnostics.converged
+
+    @pytest.mark.parametrize("dispatcher", ["least_loaded", "first_fit"])
+    def test_zero_slot_component_keeps_its_offered_load(self, dispatcher):
+        # Single copies make every server its own complete component;
+        # server 0's bandwidth is below the bit rate, so its component
+        # has no slots, blocks everything and still reports the load its
+        # videos offer.
+        layouts, workload, cluster = self._single_replica_batch()
+        result = evaluate_layouts(
+            layouts, workload, cluster, dispatcher=dispatcher
+        )
+        offered = workload.per_video_offered_erlangs
+        for b, layout in enumerate(layouts):
+            on_zero = layout.presence[:, 0]
+            assert on_zero.any()
+            assert result.per_server_offered_erlangs[b, 0] == pytest.approx(
+                offered[on_zero].sum(), rel=1e-12
+            )
+            assert result.per_server_blocking[b, 0] == 1.0
+            np.testing.assert_array_equal(
+                result.per_video_blocking[b, on_zero], 1.0
+            )
+            assert result.per_server_utilization[b, 0] == 0.0
 
     @pytest.mark.parametrize("dispatcher", DISPATCHERS)
     def test_batch_without_single_replica_videos(self, dispatcher):
