@@ -73,6 +73,8 @@ def box_waterfill_targets(
     lo, hi = 0.0, num_servers / float(positive.min())
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent doubles: no later step can move the bracket
         total = float(np.clip(mid * weights, 1.0, num_servers).sum())
         if total < budget:
             lo = mid

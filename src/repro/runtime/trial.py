@@ -9,9 +9,20 @@ trial's run index.  The trace is regenerated inside the worker from
 partitioned over any number of processes is bit-identical to the serial
 run, and any single trial can be re-simulated in isolation.
 
-Workers memoize the simulator per configuration (``config_key``), so the
-layout validation and per-video replica indexing are paid once per design
-point per worker rather than once per trial.
+Design points share traces: the workload seed depends on the setup, rate
+and theta only, never on the layout (common random numbers), so every
+replication/placement combo and degree at one ``(theta, rate)`` replays
+the same peak periods.  Each process therefore memoizes
+
+* the trace by exactly what it is drawn from (setup, theta, rate, seed,
+  run, shard, horizon), bounded by the bytes the memo holds, and
+* the simulator by exactly what it is built from (setup, layout
+  contents, degree, dispatcher, backbone, engine — :attr:`TrialSpec.
+  simulator_key`), so one simulator serves every rate and seed of a
+  layout.
+
+Both memos return what a fresh build would, so outcomes are bit-identical
+with the memos warm, cleared, or split over pool workers.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ from ..cluster_sim.sharding import shard_spawn_key
 from ..model.layout import ReplicaLayout
 from ..workload import WorkloadGenerator
 from ..workload.requests import RequestTrace
-from .cache import code_version, content_key
+from .cache import canonical, code_version, content_key
 
 __all__ = [
     "TrialSpec",
@@ -88,10 +99,16 @@ class TrialSpec:
     #: :mod:`repro.cluster_sim.sharding`.
     num_shards: int = 1
     shard_index: int = 0
-    #: Content hash shared by all trials of one design point; fills in the
-    #: worker-side simulator memo and the cache key.  Computed by
-    #: :func:`make_trials`.
+    #: Content hash shared by all trials of one design point: the result
+    #: cache key (with the run and shard, see :func:`trial_cache_key`).
+    #: Computed by :func:`make_trials`.
     config_key: str = ""
+    #: Content hash of the simulator's own inputs (setup, layout contents,
+    #: degree, dispatcher, backbone, engine), shared by every rate and
+    #: seed of one layout: the worker-side simulator memo key.  A content
+    #: hash rather than an identity, so it survives pickling into pool
+    #: workers.  Computed by :func:`make_trials`; empty bypasses the memo.
+    simulator_key: str = ""
 
     def resolved_horizon_min(self) -> float:
         return float(
@@ -153,29 +170,39 @@ def make_trials(
         failover_on_down=bool(failover_on_down),
         num_shards=int(num_shards),
     )
+    simulator_inputs = {
+        "setup": canonical(base.setup),
+        "layout": canonical(layout.rate_matrix),
+        "degree": base.degree,
+        "dispatcher": base.dispatcher,
+        "backbone_mbps": base.backbone_mbps,
+        "engine": base.engine,
+        "simulator": ENGINES[base.engine].__qualname__,
+    }
+    simulator_key = content_key(simulator_inputs)
     config_key = content_key(
         {
-            "setup": base.setup,
-            "layout": layout.rate_matrix,
+            **simulator_inputs,
             "theta": base.theta,
-            "degree": base.degree,
             "arrival_rate_per_min": base.arrival_rate_per_min,
             "seed": base.seed,
-            "dispatcher": base.dispatcher,
-            "backbone_mbps": base.backbone_mbps,
             "horizon_min": base.horizon_min,
             "failures": base.failures,
             "failover": base.failover,
             "rereplication": base.rereplication,
             "failover_on_down": base.failover_on_down,
             "num_shards": base.num_shards,
-            "engine": base.engine,
-            "simulator": ENGINES[base.engine].__qualname__,
             "code_version": code_version(),
         }
     )
     return [
-        replace(base, run_index=r, shard_index=k, config_key=config_key)
+        replace(
+            base,
+            run_index=r,
+            shard_index=k,
+            config_key=config_key,
+            simulator_key=simulator_key,
+        )
         for r in range(int(num_runs))
         for k in range(int(num_shards))
     ]
@@ -188,31 +215,94 @@ def trial_cache_key(spec: TrialSpec) -> str:
     ).hexdigest()
 
 
+class _TraceMemo:
+    """Worker-local trace memo bounded by the bytes its traces hold.
+
+    Oldest entry evicted first.  A count bound would not do: a sweep
+    revisits its ``rates x runs x shards`` traces cyclically, once per
+    layout, and FIFO under a bound below that working set never hits.
+    """
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries: dict[tuple, tuple[RequestTrace, int]] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple) -> RequestTrace | None:
+        entry = self._entries.get(key)
+        return None if entry is None else entry[0]
+
+    def put(self, key: tuple, trace: RequestTrace) -> None:
+        size = trace.arrival_min.nbytes + trace.videos.nbytes
+        if trace.watch_min is not None:
+            size += trace.watch_min.nbytes
+        if size > self.max_bytes:
+            return
+        while self.nbytes + size > self.max_bytes:
+            _, evicted = self._entries.pop(next(iter(self._entries)))
+            self.nbytes -= evicted
+        self._entries[key] = (trace, size)
+        self.nbytes += size
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.nbytes = 0
+
+
+#: Byte bound of the trace memo: a paper-scale fig4 sweep's working set
+#: (160 traces per theta) is about 6 MB.
+_TRACE_MEMO_BYTES = 32 << 20
+_TRACE_MEMO = _TraceMemo(_TRACE_MEMO_BYTES)
+
+
 def trial_trace(spec: TrialSpec) -> RequestTrace:
     """Regenerate the trial's request trace (bit-identical to serial).
 
     Shard 0 draws the plain run's stream; shard ``k >= 1`` its own
     sub-stream (see :func:`repro.cluster_sim.sharding.shard_spawn_key`).
+    Traces are memoized per process (their arrays are read-only, so
+    sharing is safe); a setup that is not hashable bypasses the memo.
     """
-    generator = WorkloadGenerator.poisson_zipf(
-        spec.setup.popularity(spec.theta), spec.arrival_rate_per_min
+    horizon_min = spec.resolved_horizon_min()
+    key = (
+        spec.setup,
+        spec.theta,
+        spec.arrival_rate_per_min,
+        spec.seed,
+        spec.run_index,
+        spec.shard_index,
+        horizon_min,
     )
-    child = np.random.SeedSequence(
-        entropy=spec.seed,
-        spawn_key=shard_spawn_key(spec.run_index, spec.shard_index),
-    )
-    return generator.generate(
-        spec.resolved_horizon_min(), np.random.default_rng(child)
-    )
+    try:
+        trace = _TRACE_MEMO.get(key)
+    except TypeError:  # an unhashable duck-typed setup
+        key = None
+        trace = None
+    if trace is None:
+        generator = WorkloadGenerator.poisson_zipf(
+            spec.setup.popularity(spec.theta), spec.arrival_rate_per_min
+        )
+        child = np.random.SeedSequence(
+            entropy=spec.seed,
+            spawn_key=shard_spawn_key(spec.run_index, spec.shard_index),
+        )
+        trace = generator.generate(horizon_min, np.random.default_rng(child))
+        if key is not None:
+            _TRACE_MEMO.put(key, trace)
+    return trace
 
 
-#: Worker-local simulator memo, keyed by ``config_key`` (bounded FIFO).
+#: Worker-local simulator memo, keyed by ``simulator_key`` (bounded FIFO).
 _SIM_MEMO: dict[str, VoDClusterSimulator] = {}
 _SIM_MEMO_MAX = 32
 
 
 def _simulator_for(spec: TrialSpec) -> VoDClusterSimulator:
-    simulator = _SIM_MEMO.get(spec.config_key) if spec.config_key else None
+    key = spec.simulator_key
+    simulator = _SIM_MEMO.get(key) if key else None
     if simulator is None:
         simulator = make_simulator(
             spec.engine,
@@ -222,10 +312,10 @@ def _simulator_for(spec: TrialSpec) -> VoDClusterSimulator:
             dispatcher_factory=make_dispatcher_factory(spec.dispatcher),
             backbone_mbps=spec.backbone_mbps,
         )
-        if spec.config_key:
+        if key:
             if len(_SIM_MEMO) >= _SIM_MEMO_MAX:
                 _SIM_MEMO.pop(next(iter(_SIM_MEMO)))
-            _SIM_MEMO[spec.config_key] = simulator
+            _SIM_MEMO[key] = simulator
     return simulator
 
 

@@ -281,6 +281,10 @@ class ServingControlPlane:
         self._epoch_min = config.resolved_epoch_minutes
         self._seed = config.resolved_seed
         self._detector = DriftDetector(config.drift_threshold)
+        #: ``(layout, num_servers, simulator)`` of the last epoch: the
+        #: simulator is rebuilt only when the deployed layout object or
+        #: the server count changes (layouts are immutable).
+        self._epoch_sim: tuple | None = None
 
     # ------------------------------------------------------------------
     def _cluster_for(self, num_servers: int) -> ClusterSpec:
@@ -319,6 +323,21 @@ class ServingControlPlane:
             schedule = FailureSchedule(events)
         return schedule
 
+    def _epoch_simulator(self, layout: ReplicaLayout, num_servers: int):
+        cached = self._epoch_sim
+        if cached is None or cached[0] is not layout or cached[1] != num_servers:
+            config = self._config
+            simulator = make_simulator(
+                config.engine,
+                self._cluster_for(num_servers),
+                self._videos,
+                layout,
+                dispatcher_factory=make_dispatcher_factory(config.dispatcher),
+                backbone_mbps=config.backbone_mbps,
+            )
+            cached = self._epoch_sim = (layout, num_servers, simulator)
+        return cached[2]
+
     def _simulate(
         self, epoch: int, layout: ReplicaLayout, num_servers: int,
         traces,
@@ -329,16 +348,11 @@ class ServingControlPlane:
         fans the K full-rate sub-streams out through
         :func:`repro.cluster_sim.sharding.run_sharded` (each shard its
         own chaos schedule) and merges them into one K-pod result.
+        Consecutive epochs on the same layout and server count share one
+        simulator.
         """
         config = self._config
-        simulator = make_simulator(
-            config.engine,
-            self._cluster_for(num_servers),
-            self._videos,
-            layout,
-            dispatcher_factory=make_dispatcher_factory(config.dispatcher),
-            backbone_mbps=config.backbone_mbps,
-        )
+        simulator = self._epoch_simulator(layout, num_servers)
         if len(traces) == 1:
             return simulator.run(
                 traces[0],
@@ -625,7 +639,7 @@ def chain_batch_epochs(
     config: ServingConfig, *, resolve: bool = False
 ) -> list[SimulationResult]:
     """The manually chained batch path: the bootstrap layout simulated on
-    every epoch trace with a fresh simulator per epoch.
+    every epoch trace, with no tracker, re-planning or elasticity.
 
     This is the serving loop's differential oracle — with
     ``replan="never"`` and ``elastic=False`` the control plane must

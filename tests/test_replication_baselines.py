@@ -181,6 +181,47 @@ class TestCacheProportional:
         interior = (targets > 1.0 + 1e-9) & (targets < 10.0 - 1e-9)
         assert np.allclose(ratios[interior], ratios[interior][0])
 
+    @staticmethod
+    def _waterfill_200_steps(weights, num_servers, budget):
+        """The bisection run for all 200 steps, with no early exit."""
+        weights = np.asarray(weights, dtype=np.float64)
+        budget = float(min(budget, num_servers * weights.size))
+        lo, hi = 0.0, num_servers / float(weights[weights > 0].min())
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if float(np.clip(mid * weights, 1.0, num_servers).sum()) < budget:
+                lo = mid
+            else:
+                hi = mid
+        return np.clip(hi * weights, 1.0, num_servers)
+
+    @pytest.mark.parametrize("theta", (0.0, 0.3, 0.6, 0.9, 1.2))
+    def test_early_exit_matches_200_steps_at_cache_scale(self, theta):
+        # The E17 grid: N=100, M=10k, degree 1.2; the cache-proportional
+        # weights (p_i) and the p2p weights (d_i + sqrt(d_i)).
+        probs = zipf_probabilities(10_000, theta)
+        budget = 12_000
+        demand = probs * budget
+        for weights in (probs, demand + np.sqrt(demand)):
+            np.testing.assert_array_equal(
+                box_waterfill_targets(weights, 100, budget),
+                self._waterfill_200_steps(weights, 100, budget),
+            )
+
+    def test_early_exit_matches_200_steps_on_random_weights(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(50):
+            num_videos = int(rng.integers(2, 300))
+            num_servers = int(rng.integers(2, 20))
+            weights = rng.exponential(size=num_videos) ** rng.uniform(0.2, 4)
+            weights[rng.random(num_videos) < 0.1] = 0.0
+            weights[0] = max(weights[0], 1e-3)
+            budget = int(rng.integers(num_videos + 1, num_servers * num_videos + 1))
+            np.testing.assert_array_equal(
+                box_waterfill_targets(weights, num_servers, budget),
+                self._waterfill_200_steps(weights, num_servers, budget),
+            )
+
 
 class TestLargeCache:
     @pytest.mark.parametrize("theta", THETA_SWEEP)

@@ -1,5 +1,7 @@
 """Tests for the parallel cached experiment engine (repro.runtime)."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.runtime import (
     trial_cache_key,
     use_runner,
 )
+from repro.runtime import trial
 from repro.runtime.trial import trial_trace
 from repro.workload import WorkloadGenerator
 
@@ -471,3 +474,187 @@ class TestTrialSpec:
         )
         assert len({t.config_key for t in trials}) == 1
         assert len({trial_cache_key(t) for t in trials}) == 3
+
+
+class _UnhashableSetup:
+    """A duck-typed setup that cannot key the trace memo."""
+
+    __hash__ = None
+
+    def __init__(self, setup):
+        self._setup = setup
+        self.peak_minutes = setup.peak_minutes
+
+    def cluster(self, degree):
+        return self._setup.cluster(degree)
+
+    def videos(self):
+        return self._setup.videos()
+
+    def popularity(self, theta):
+        return self._setup.popularity(theta)
+
+
+def _fig4_sweep(setup):
+    """One callable per Figure 4 design point, in ``run_fig4`` order."""
+    from repro.experiments.fig4 import FIG4_SUBPLOTS
+
+    results = []
+    for _, combo, which in FIG4_SUBPLOTS:
+        theta = setup.theta_high if which == "high" else setup.theta_low
+        for degree in setup.replication_degrees:
+            layout = build_layout(setup, combo, theta, degree)
+            for rate in setup.arrival_rates_per_min:
+                yield functools.partial(
+                    simulate_combo, setup, combo, theta, degree, rate,
+                    layout=layout,
+                )
+
+
+class TestTrialMemos:
+    @pytest.fixture(autouse=True)
+    def _cold_memos(self):
+        trial._TRACE_MEMO.clear()
+        trial._SIM_MEMO.clear()
+        yield
+        trial._TRACE_MEMO.clear()
+        trial._SIM_MEMO.clear()
+
+    def _spec(self, setup, **overrides):
+        layout = overrides.pop("layout", None) or build_layout(
+            setup, PAPER_COMBOS[0], 0.75, 1.2
+        )
+        kwargs = dict(
+            theta=0.75, degree=1.2, arrival_rate_per_min=10.0,
+            seed=1, num_runs=1,
+        )
+        kwargs.update(overrides)
+        return make_trials(setup, layout, **kwargs)[0]
+
+    def test_same_spec_returns_same_trace_object(self, small_setup):
+        spec = self._spec(small_setup)
+        assert trial_trace(spec) is trial_trace(spec)
+        assert len(trial._TRACE_MEMO) == 1
+
+    def test_distinct_trace_inputs_get_distinct_traces(self, small_setup):
+        from dataclasses import replace
+
+        spec = self._spec(small_setup)
+        variants = [
+            replace(spec, seed=2),
+            replace(spec, run_index=1),
+            replace(spec, shard_index=1),
+            replace(spec, horizon_min=45.0),
+            replace(spec, theta=0.25),
+            replace(spec, arrival_rate_per_min=20.0),
+            replace(spec, setup=replace(small_setup, num_videos=31)),
+        ]
+        base = trial_trace(spec)
+        traces = [trial_trace(v) for v in variants]
+        assert len({id(t) for t in [base, *traces]}) == 1 + len(variants)
+        assert len(trial._TRACE_MEMO) == 1 + len(variants)
+        trial._TRACE_MEMO.clear()
+        for variant, trace in zip(variants, traces):
+            fresh = trial_trace(variant)
+            assert fresh is not trace and fresh == trace
+            assert fresh != base
+
+    def test_eviction_respects_byte_bound(self, small_setup, monkeypatch):
+        trials = make_trials(
+            small_setup, build_layout(small_setup, PAPER_COMBOS[0], 0.75, 1.2),
+            theta=0.75, degree=1.2, arrival_rate_per_min=10.0, seed=1,
+            num_runs=6,
+        )
+        sizes = [trial_trace(t).arrival_min.nbytes * 2 for t in trials]
+        memo = trial._TraceMemo(max_bytes=sizes[-1] + sizes[-2] + sizes[-3])
+        monkeypatch.setattr(trial, "_TRACE_MEMO", memo)
+        traces = []
+        for spec in trials:
+            traces.append(trial_trace(spec))
+            assert memo.nbytes <= memo.max_bytes
+        assert 1 <= len(memo) <= 3
+        assert memo.nbytes == sum(sizes[-len(memo):])
+        assert trial_trace(trials[-1]) is traces[-1]  # newest kept
+        first = trial_trace(trials[0])  # oldest evicted: regenerated
+        assert first is not traces[0] and first == traces[0]
+
+    def test_trace_larger_than_bound_is_not_kept(self, small_setup, monkeypatch):
+        memo = trial._TraceMemo(max_bytes=8)
+        monkeypatch.setattr(trial, "_TRACE_MEMO", memo)
+        spec = self._spec(small_setup)
+        assert trial_trace(spec) == trial_trace(spec)
+        assert len(memo) == 0 and memo.nbytes == 0
+
+    def test_unhashable_setup_still_runs(self, small_setup):
+        layout = build_layout(small_setup, PAPER_COMBOS[0], 0.75, 1.2)
+        spec = self._spec(_UnhashableSetup(small_setup), layout=layout)
+        plain = self._spec(small_setup, layout=layout)
+        first = trial_trace(spec)
+        assert trial_trace(spec) is not first
+        assert first == trial_trace(plain)
+        assert run_trial(spec).same_outcome(run_trial(plain))
+        assert len(trial._TRACE_MEMO) == 1  # only the hashable setup's
+
+    def test_one_simulator_serves_every_rate_of_a_layout(self, small_setup):
+        layout = build_layout(small_setup, PAPER_COMBOS[0], 0.75, 1.2)
+        specs = [
+            self._spec(
+                small_setup, layout=layout, arrival_rate_per_min=rate,
+                seed=seed, horizon_min=horizon,
+            )
+            for rate, seed, horizon in ((10.0, 1, None), (20.0, 2, 60.0),
+                                        (30.0, 3, None))
+        ]
+        assert len({s.config_key for s in specs}) == 3
+        assert len({s.simulator_key for s in specs}) == 1
+        for spec in specs:
+            run_trial(spec)
+        assert len(trial._SIM_MEMO) == 1
+
+    def test_simulator_inputs_get_their_own_simulator(self, small_setup):
+        base = self._spec(small_setup)
+        variants = [
+            self._spec(
+                small_setup,
+                layout=build_layout(small_setup, PAPER_COMBOS[3], 0.75, 1.2),
+            ),
+            self._spec(
+                small_setup, degree=1.4,
+                layout=build_layout(small_setup, PAPER_COMBOS[0], 0.75, 1.4),
+            ),
+            self._spec(small_setup, engine="optimized"),
+            self._spec(small_setup, dispatcher="least_loaded"),
+            self._spec(small_setup, backbone_mbps=100.0),
+        ]
+        simulators = [
+            trial._simulator_for(spec) for spec in [base, *variants]
+        ]
+        assert len({id(s) for s in simulators}) == 1 + len(variants)
+        assert len(trial._SIM_MEMO) == 1 + len(variants)
+
+    def test_simulator_key_survives_pickling(self, small_setup):
+        import pickle
+
+        spec = self._spec(small_setup)
+        simulator = trial._simulator_for(spec)
+        shipped = pickle.loads(pickle.dumps(spec))
+        assert shipped.layout is not spec.layout
+        assert trial._simulator_for(shipped) is simulator
+
+    def test_fig4_sweep_same_outcome_warm_cleared_and_pooled(self):
+        setup = PaperSetup().quick(num_runs=3)
+        warm = [point() for point in _fig4_sweep(setup)]
+        # 2 thetas x 8 rates x 3 runs distinct traces; 24 layouts.
+        assert len(trial._TRACE_MEMO) == 48
+        cleared = []
+        for point in _fig4_sweep(setup):
+            trial._TRACE_MEMO.clear()
+            trial._SIM_MEMO.clear()
+            cleared.append(point())
+        with ParallelRunner(jobs=2) as runner, use_runner(runner):
+            pooled = [point() for point in _fig4_sweep(setup)]
+        assert len(warm) == len(cleared) == len(pooled) == 192
+        for a, b, c in zip(warm, cleared, pooled):
+            assert len(a) == len(b) == len(c) == 3
+            assert all(x.same_outcome(y) for x, y in zip(a, b))
+            assert all(x.same_outcome(y) for x, y in zip(a, c))

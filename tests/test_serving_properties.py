@@ -414,6 +414,54 @@ class TestControlPlaneProperties:
         for snapshot, batch_result in zip(plane_run.snapshots, batch):
             assert snapshot.result.same_outcome(batch_result)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(drift="release:2", replan="drift", move_budget=4),
+            dict(
+                base_rate_per_min=18.0, peak_rate_per_min=24.0,
+                drift="release:2", replan="drift", elastic=True,
+                breach_epochs=1, cooldown_epochs=1, max_servers=6,
+            ),
+            dict(
+                drift="lognormal:0.6", replan="always", screen=True,
+                shards=2, failures="random:mtbf=20,mttr=4",
+                failover_on_down=True,
+            ),
+        ],
+    )
+    def test_epoch_simulator_reuse_matches_fresh_builds(
+        self, overrides, monkeypatch
+    ):
+        import repro.serving.plane as plane_module
+
+        class FreshPlane(ServingControlPlane):
+            def _epoch_simulator(self, layout, num_servers):
+                self._epoch_sim = None
+                return super()._epoch_simulator(layout, num_servers)
+
+        config = make_config(epochs=8, **overrides)
+        builds = []
+        build = plane_module.make_simulator
+        monkeypatch.setattr(
+            plane_module, "make_simulator",
+            lambda *args, **kwargs: builds.append(1) or build(*args, **kwargs),
+        )
+        reused = ServingControlPlane(config).run()
+        reused_builds = len(builds)
+        fresh = FreshPlane(config).run()
+        assert len(builds) - reused_builds == config.epochs
+        # A new layout object or server count after epoch e is one
+        # rebuild before epoch e + 1.
+        changed = [
+            s.migration_executed or s.elasticity_action != 0
+            for s in reused.snapshots[:-1]
+        ]
+        assert reused_builds == 1 + sum(changed) < config.epochs
+        assert reused.digest() == fresh.digest()
+        for a, b in zip(reused.snapshots, fresh.snapshots):
+            assert a.result.same_outcome(b.result)
+
     def test_run_digest_is_deterministic(self):
         config = make_config(drift="release:2", replan="always", elastic=True)
         assert (
