@@ -117,7 +117,7 @@ def _erlang_b_closed_form(
         # cdf underflow requires a > ~3c, so the series converges with
         # ratio < 1/3 and a few hundred terms reach full precision.
         a = loads[unsafe]
-        c = servers[unsafe].astype(np.float64)
+        c = np.broadcast_to(servers, unsafe.shape)[unsafe].astype(np.float64)
         term = np.ones_like(a)
         inverse = np.ones_like(a)
         for j in range(1, 400):
@@ -142,17 +142,20 @@ def _check_slots(num_servers) -> np.ndarray:
     return servers
 
 
-def _erlang_b_checked(
-    offered_load, servers: np.ndarray, log_factorial=None
-) -> np.ndarray:
-    """Vectorized Erlang-B against slot counts already through
-    :func:`_check_slots`; the offered loads are validated here."""
+def _check_loads(offered_load) -> np.ndarray:
+    """``offered_load`` as a float array, finite and non-negative."""
     loads = np.asarray(offered_load, dtype=np.float64)
     if np.any(loads < 0) or not np.all(np.isfinite(loads)):
         raise ValueError("offered_load must be finite and >= 0")
-    loads, servers = np.broadcast_arrays(loads, servers)
-    loads = np.ascontiguousarray(loads)
-    servers = np.ascontiguousarray(servers)
+    return loads
+
+
+def _erlang_b_unchecked(
+    loads: np.ndarray, servers: np.ndarray, log_factorial=None
+) -> np.ndarray:
+    """Vectorized Erlang-B on float64 loads that are finite and >= 0,
+    against slot counts through :func:`_check_slots` that broadcast to
+    the loads' shape; the caller vouches for both."""
     if _gammaincc is not None:
         blocking = _erlang_b_closed_form(loads, servers, log_factorial)
     else:  # pragma: no cover - scipy present in the dev image
@@ -170,7 +173,11 @@ def _erlang_b_array(offered_load: np.ndarray, num_servers) -> np.ndarray:
     the pure-numpy log-domain recurrence; both agree with the scalar
     recurrence to ~1e-12 relative.
     """
-    return _erlang_b_checked(offered_load, _check_slots(num_servers))
+    servers = _check_slots(num_servers)
+    loads, servers = np.broadcast_arrays(_check_loads(offered_load), servers)
+    return _erlang_b_unchecked(
+        np.ascontiguousarray(loads), np.ascontiguousarray(servers)
+    )
 
 
 def _fixed_slots_erlang_b(num_servers):
@@ -179,13 +186,17 @@ def _fixed_slots_erlang_b(num_servers):
     The slot validation and the closed form's ``gammaln(c + 1)`` run once
     here instead of on every call, so a fixed point that re-evaluates
     Erlang-B against the same slots each iteration pays only for the
-    load-dependent terms.  Results are bit-identical to :func:`erlang_b`.
+    load-dependent terms.  The loads are not checked: the caller passes
+    float64 arrays, finite and >= 0, that the slots broadcast to (the
+    fixed point validates its offered traffic once, and every load it
+    derives from it stays so).  Results are bit-identical to
+    :func:`erlang_b`.
     """
     servers = _check_slots(num_servers)
     log_factorial = None if _gammaln is None else _gammaln(servers + 1.0)
 
-    def blocking(offered_load) -> np.ndarray:
-        return _erlang_b_checked(offered_load, servers, log_factorial)
+    def blocking(offered_load: np.ndarray) -> np.ndarray:
+        return _erlang_b_unchecked(offered_load, servers, log_factorial)
 
     return blocking
 

@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._validation import check_non_negative, check_probability_vector
-from .erlang import _fixed_slots_erlang_b, erlang_b
+from .erlang import _check_loads, _fixed_slots_erlang_b, erlang_b
 from ..model.cluster import ClusterSpec
 from ..model.layout import ReplicaLayout
 
@@ -437,7 +437,11 @@ def _evaluate_holders(
             num_layouts, num_servers
         )
 
-    offered = np.tile(workload.per_video_offered_erlangs, num_layouts)  # a_i
+    # a_i, validated once: every load the fixed point derives from it
+    # stays finite and >= 0, so its Erlang-B calls skip the checks.
+    offered = np.tile(
+        _check_loads(workload.per_video_offered_erlangs), num_layouts
+    )
     replicas = np.bincount(video, minlength=num_video_ids)  # r_i
     placed = replicas > 0
     safe_replicas = np.maximum(replicas, 1)

@@ -23,7 +23,10 @@ loop, which is also the cross-check oracle for the incremental path
 Contract for contexts:
 
 * ``propose(rng)`` must consume random numbers exactly like the problem's
-  ``propose`` so the two paths follow statistically identical trajectories;
+  ``propose`` so the two paths follow statistically identical trajectories,
+  and may call only ``rng.integers(n)`` and ``rng.random()``: the
+  incremental loop hands out a :class:`~repro.annealing.draws.DrawStream`
+  (see below), which serves no other method;
 * ``rollback()`` must restore the state bitwise;
 * cached floats may drift from full recomputation by accumulation error,
   so the engine calls ``resync()`` at every level boundary and recomputes
@@ -32,8 +35,20 @@ Contract for contexts:
 The ``T0`` calibration walk moves through a context too.  It accepts every
 move, so it collects the visited states and costs them exactly with one
 batched ``problem.cost`` call on their ``(K, M, N)`` stack; a problem that
-opts in must therefore accept a stack in ``cost``.  The full walk, one
+opts in must therefore accept a stack in ``cost`` and write a state into
+a row of it through ``export_state(out=...)``.  The full walk, one
 ``problem.cost`` per state, stays the oracle and gives the same ``T0``.
+
+Random draws
+------------
+On a ``PCG64`` generator the incremental path draws through a
+:class:`~repro.annealing.draws.DrawStream`: ``integers(n)`` and
+``random()`` served from blocks of raw words, bit for bit as the
+``Generator`` would serve them, without numpy's per-call dispatch.  On
+return, also when the run raises, the caller's generator stands exactly
+where unbuffered calls would have left it.  Any other generator is used
+as given.  The full loop always calls the ``Generator`` itself, so the
+full/incremental cross-checks also test the stream against numpy.
 """
 
 from __future__ import annotations
@@ -46,6 +61,7 @@ from typing import Any, Protocol, runtime_checkable
 import numpy as np
 
 from .._validation import check_int_in_range, check_non_negative
+from .draws import buffered_draws
 from .schedule import CoolingSchedule, GeometricCooling, estimate_initial_temperature
 
 __all__ = [
@@ -116,8 +132,13 @@ class IncrementalContext(Protocol):
         """
         ...
 
-    def export_state(self) -> Any:
-        """An independent copy of the current state."""
+    def export_state(self, out: Any | None = None) -> Any:
+        """An independent copy of the current state.
+
+        With *out* (an array of the state's shape), the state is written
+        into it and *out* is returned; the ``T0`` walk fills one
+        preallocated stack so.
+        """
         ...
 
 
@@ -216,13 +237,16 @@ class SimulatedAnnealer:
         """
         if incremental:
             context: IncrementalContext = problem.make_incremental(state)
-            states = [state]
+            walk = np.empty((65, *np.shape(state)))  # the start + 64 moves
+            walk[0] = state
+            visited = 1
             for _ in range(64):
                 if context.propose(rng) is None:
                     continue
                 context.commit()
-                states.append(context.export_state())
-            deltas = np.diff(problem.cost(np.stack(states))).tolist()
+                context.export_state(out=walk[visited])
+                visited += 1
+            deltas = np.diff(problem.cost(walk[:visited])).tolist()
         else:
             cost = problem.cost(state)
             deltas = []
@@ -277,9 +301,11 @@ class SimulatedAnnealer:
         start_wall = time.perf_counter()
         make_incremental = getattr(problem, "make_incremental", None)
         if use_incremental and make_incremental is not None:
-            result = self._run_incremental(
-                problem, rng, record_history, observer, initial_state
-            )
+            state = _starting_state(problem, rng, initial_state)
+            with buffered_draws(rng) as draws:
+                result = self._run_incremental(
+                    problem, draws, state, record_history, observer
+                )
         else:
             result = self._run_full(
                 problem, rng, record_history, observer, initial_state
@@ -381,13 +407,13 @@ class SimulatedAnnealer:
     def _run_incremental(
         self,
         problem: AnnealingProblem,
-        rng: np.random.Generator,
+        rng,
+        state: Any,
         record_history: bool,
         observer=None,
-        initial_state: Any | None = None,
     ) -> AnnealingResult:
-        """Delta-cost Metropolis loop over an :class:`IncrementalContext`."""
-        state = _starting_state(problem, rng, initial_state)
+        """Delta-cost Metropolis loop over an :class:`IncrementalContext`,
+        from *state*, drawing from *rng* (a draw stream on ``PCG64``)."""
         schedule = self._schedule or self._calibrate_schedule(
             problem, state, rng, incremental=True
         )

@@ -131,8 +131,10 @@ class ScalableBitRateProblem:
         same trailing axis either way, so each stacked cost equals the
         cost of its matrix bit for bit.
         """
-        present = state > 0
-        counts = present.sum(axis=-1)
+        # Replica counts as one matrix-vector product: on a stack, a sum
+        # over the short server axis runs one numpy inner loop per video.
+        # The counts are small integers, exact in any summation order.
+        counts = (state > 0) @ np.ones(state.shape[-1])
         if np.any(counts < 1):
             raise ValueError("state lost a video's last replica (Eq. 7)")
         mean_rate = state.sum(axis=-1) / counts
@@ -488,8 +490,11 @@ class _IncrementalScalableState:
         self._log.clear()
         self._cost = self._compute_cost()
 
-    def export_state(self) -> np.ndarray:
-        return self._state.copy()
+    def export_state(self, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return self._state.copy()
+        out[...] = self._state
+        return out
 
     # -- internals -----------------------------------------------------
     def _compute_cost(self) -> float:

@@ -346,24 +346,27 @@ def serve_sized_problem(num_servers):
     )
 
 
+PROBLEMS = {
+    "zipf": make_problem,
+    # Uniform popularity: many moves leave the cost exactly unchanged,
+    # the case cached deltas would turn uphill.
+    "uniform": lambda: make_problem(theta=0.0, rates=(1.5, 3.0)),
+    "bandwidth-bound": lambda: edge_instance(
+        RATE_SETS["2-rates"], "bandwidth-bound"
+    )[0],
+    # Serve-sized: numpy's pairwise sum changes its order at 8 elements,
+    # and the serving plane's elasticity moves N across that line.
+    **{
+        f"serve-N{n}": (lambda n=n: serve_sized_problem(n))
+        for n in SERVE_SIZED_N
+    },
+}
+
+
 class TestCalibrationParity:
-    @pytest.mark.parametrize(
-        "sa",
-        [
-            make_problem(),
-            # Uniform popularity: many moves leave the cost exactly
-            # unchanged, the case cached deltas would turn uphill.
-            make_problem(theta=0.0, rates=(1.5, 3.0)),
-            edge_instance(RATE_SETS["2-rates"], "bandwidth-bound")[0],
-            # Serve-sized: numpy's pairwise sum changes its order at 8
-            # elements, and the serving plane's elasticity moves N
-            # across that line.
-            *(serve_sized_problem(n) for n in SERVE_SIZED_N),
-        ],
-        ids=["zipf", "uniform", "bandwidth-bound"]
-        + [f"serve-N{n}" for n in SERVE_SIZED_N],
-    )
-    def test_context_walk_gives_the_full_walk_t0(self, sa):
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_context_walk_gives_the_full_walk_t0(self, name):
+        sa = PROBLEMS[name]()
         annealer = SimulatedAnnealer(steps_per_level=10, max_levels=2)
         state = sa.initial_state(np.random.default_rng(0))
         for seed in range(8):
@@ -388,6 +391,89 @@ class TestCalibrationParity:
         stacked = sa.cost(np.stack(states))
         assert stacked.shape == (len(states),)
         assert stacked.tolist() == [sa.cost(state) for state in states]
+
+
+class _PassThrough:
+    """A Generator stand-in whose bit generator is not PCG64: the engine
+    uses it as given, one numpy call per draw."""
+
+    bit_generator = None
+
+    def __init__(self, seed):
+        self.generator = np.random.default_rng(seed)
+
+    def integers(self, n):
+        return self.generator.integers(n)
+
+    def random(self):
+        return self.generator.random()
+
+
+class _RaisingContext:
+    """Delegates to *context*, but raises on the *limit*-th proposal, as
+    the Eq. 7 check does mid-run."""
+
+    def __init__(self, context, limit):
+        self._context = context
+        self._left = limit
+
+    def __getattr__(self, name):
+        return getattr(self._context, name)
+
+    def propose(self, rng):
+        self._left -= 1
+        if not self._left:
+            raise ValueError("state lost a video's last replica (Eq. 7)")
+        return self._context.propose(rng)
+
+
+class _RaisingProblem(ScalableBitRateProblem):
+    def __init__(self, problem, limit):
+        super().__init__(problem)
+        self._limit = limit
+
+    def make_incremental(self, state):
+        return _RaisingContext(super().make_incremental(state), self._limit)
+
+
+class TestDrawStreamBitIdentity:
+    """The incremental loop on a PCG64 generator (buffered draws) against
+    the same seed drawn one numpy call at a time."""
+
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_run_matches_unbuffered_draws(self, name):
+        sa = PROBLEMS[name]()
+        annealer = SimulatedAnnealer(
+            steps_per_level=60, max_levels=12, patience_levels=0
+        )
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            plain = _PassThrough(seed)
+            buffered = annealer.run(sa, rng)
+            unbuffered = annealer.run(sa, plain)
+            assert buffered.best_state.tobytes() == unbuffered.best_state.tobytes()
+            assert buffered.best_cost == unbuffered.best_cost
+            assert buffered.final_cost == unbuffered.final_cost
+            assert buffered.cost_history == unbuffered.cost_history
+            assert buffered.accepted == unbuffered.accepted
+            assert buffered.steps == unbuffered.steps
+            assert buffered.levels == unbuffered.levels
+            assert buffered.accepted > 0
+            assert rng.bit_generator.state == plain.generator.bit_generator.state
+
+    @pytest.mark.parametrize("limit", [10, 64, 300])
+    def test_generator_synced_when_the_run_raises(self, limit):
+        # Each context counts its own proposals: 10 and 64 raise in the
+        # T0 walk, 300 in the Metropolis loop.
+        problem = _RaisingProblem(serve_sized_problem(8).problem, limit)
+        annealer = SimulatedAnnealer(steps_per_level=60, max_levels=12)
+        rng = np.random.default_rng(3)
+        plain = _PassThrough(3)
+        for source in (rng, plain):
+            with pytest.raises(ValueError, match="last replica"):
+                annealer.run(problem, source)
+        assert rng.bit_generator.state == plain.generator.bit_generator.state
+        assert rng.bit_generator.state != np.random.default_rng(3).bit_generator.state
 
 
 class TestEngineIncremental:

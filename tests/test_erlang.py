@@ -5,12 +5,14 @@ import pytest
 
 from repro import ClusterSpec, UniformPopularity, VideoCollection
 from repro.analysis.erlang import (
+    _fixed_slots_erlang_b,
     cluster_blocking_bound,
     erlang_b,
     offered_load_erlangs,
     partitioned_blocking,
 )
 from repro.analysis.stats import summarize
+from repro.analysis.surrogate import SurrogateWorkload, evaluate_layout
 from repro.cluster_sim import LeastLoadedDispatcher, VoDClusterSimulator
 from repro.model.layout import ReplicaLayout
 from repro.workload import WorkloadGenerator
@@ -53,6 +55,37 @@ class TestErlangB:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             erlang_b(-1.0, 5)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_rejects_negative_or_nan_load(self, bad):
+        # The fixed point's closure skips these checks; the public
+        # function keeps them on both paths.
+        with pytest.raises(ValueError):
+            erlang_b(bad, 5)
+        loads = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            erlang_b(loads, np.array([4, 4]))
+
+    def test_fixed_slots_closure_matches_erlang_b(self):
+        # Light, heavy (the overflow series) and zero loads, zero slots.
+        slots = np.array([0, 1, 5, 40])
+        loads = np.array(
+            [[0.0, 0.5, 3.0, 30.0], [2.0, 0.0, 400.0, 0.0], [1.0, 9.0, 0.0, 900.0]]
+        )
+        blocking = _fixed_slots_erlang_b(slots)(loads)
+        assert blocking.tobytes() == erlang_b(loads, slots).tobytes()
+
+    def test_surrogate_rejects_non_finite_offered_load(self):
+        workload = SurrogateWorkload(
+            popularity=np.full(4, 0.25), arrival_rate_per_min=np.inf
+        )
+        layout = ReplicaLayout(rate_matrix=np.eye(4, 2) + np.eye(4, 2, -2))
+        cluster = ClusterSpec.homogeneous(
+            2, storage_gb=100.0, bandwidth_mbps=30.0
+        )
+        for dispatcher in ("static_rr", "least_loaded", "first_fit"):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                evaluate_layout(layout, workload, cluster, dispatcher=dispatcher)
 
 
 class TestBounds:
