@@ -32,17 +32,16 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .._validation import check_int_in_range
-
 __all__ = ["DrawStream", "buffered_draws"]
 
 _MASK32 = 0xFFFFFFFF
 _TWO32 = 1 << 32
 #: numpy's ``next_double`` scale, ``1 / 2**53``.
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0
-#: Words fetched per ``random_raw`` call.  A serving-plane polish (a 64-step
-#: walk and 320 Metropolis steps, under two words each) fits in one block.
-DEFAULT_BLOCK = 1024
+#: Words fetched per ``random_raw`` call, read at each fetch.  A
+#: serving-plane polish (a 64-step walk and 320 Metropolis steps, under two
+#: words each) fits in one block.
+_BLOCK = 1024
 
 
 class DrawStream:
@@ -55,7 +54,6 @@ class DrawStream:
     __slots__ = (
         "_rng",
         "_bit_generator",
-        "_block",
         "_anchor",
         "_fetched",
         "_words",
@@ -63,8 +61,7 @@ class DrawStream:
         "_carry",
     )
 
-    def __init__(self, rng: np.random.Generator, block: int = DEFAULT_BLOCK) -> None:
-        check_int_in_range("block", block, 1)
+    def __init__(self, rng: np.random.Generator) -> None:
         bit_generator = getattr(rng, "bit_generator", None)
         if type(bit_generator) is not np.random.PCG64:
             raise TypeError(
@@ -73,7 +70,6 @@ class DrawStream:
             )
         self._rng = rng
         self._bit_generator = bit_generator
-        self._block = int(block)
         self._restart(bit_generator.state)
 
     def _restart(self, state: dict) -> None:
@@ -87,9 +83,9 @@ class DrawStream:
 
     def _refill(self) -> int:
         """Fetch one block; return its first word and keep the rest."""
-        words = self._bit_generator.random_raw(self._block).tolist()
+        words = self._bit_generator.random_raw(_BLOCK).tolist()
         words.reverse()
-        self._fetched += self._block
+        self._fetched += len(words)
         self._words = words
         return words.pop()
 
@@ -158,7 +154,7 @@ class DrawStream:
 
 @contextmanager
 def buffered_draws(
-    rng: np.random.Generator, block: int = DEFAULT_BLOCK
+    rng: np.random.Generator,
 ) -> Iterator["DrawStream | np.random.Generator"]:
     """Yield a :class:`DrawStream` over *rng*, synced back on exit.
 
@@ -168,7 +164,7 @@ def buffered_draws(
     if type(getattr(rng, "bit_generator", None)) is not np.random.PCG64:
         yield rng
         return
-    stream = DrawStream(rng, block)
+    stream = DrawStream(rng)
     try:
         yield stream
     finally:

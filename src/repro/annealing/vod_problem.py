@@ -131,10 +131,8 @@ class ScalableBitRateProblem:
         same trailing axis either way, so each stacked cost equals the
         cost of its matrix bit for bit.
         """
-        # Replica counts as one matrix-vector product: on a stack, a sum
-        # over the short server axis runs one numpy inner loop per video.
-        # The counts are small integers, exact in any summation order.
-        counts = (state > 0) @ np.ones(state.shape[-1])
+        present = state > 0
+        counts = present.sum(axis=-1)
         if np.any(counts < 1):
             raise ValueError("state lost a video's last replica (Eq. 7)")
         mean_rate = state.sum(axis=-1) / counts
