@@ -12,11 +12,30 @@ by the popularity-estimation example.
 
 All probability vectors returned here are sorted in non-increasing order
 (video 1 is the most popular), matching the paper's indexing convention.
+
+Sampling is bit-exact with numpy.  :meth:`PopularityModel.sample` and
+:func:`sample_choice` return the indices ``Generator.choice(M, size, p=p)``
+returns and leave the generator in the state it leaves, because they keep
+its arithmetic: ``cdf = p.cumsum(); cdf /= cdf[-1]``, one
+``rng.random(size)``, and for each uniform ``u`` the index
+``cdf.searchsorted(u, side="right")``.  Only that last search is done
+differently.  A :class:`ChoiceSampler` splits ``[0, 1)`` into ``K``
+buckets, ``K`` a power of two at least ``4 M``, so ``floor(u * K)`` is
+exact.  For each bucket it counts the cdf entries at or below its left edge
+and those below its right edge; when they differ by at most one, every
+``u`` in the bucket resolves to the first count plus ``u >= cdf[first]``,
+two gathers and a comparison.  Uniforms that land in a bucket holding two
+or more boundaries (zero-probability videos, a crowded tail) still go to
+``searchsorted``.  :func:`sample_choice` raises ``ValueError`` wherever
+``Generator.choice`` does: a *p* that does not plainly pass numpy's checks
+gets numpy's own verdict from a zero-sample ``choice``, which draws
+nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +46,8 @@ from ._validation import (
 )
 
 __all__ = [
+    "ChoiceSampler",
+    "sample_choice",
     "PopularityModel",
     "ZipfPopularity",
     "UniformPopularity",
@@ -62,6 +83,115 @@ def zipf_probabilities(num_items: int, theta: float) -> np.ndarray:
     weights = ranks**-theta
     weights /= weights.sum()
     return weights
+
+
+#: Guide-table buckets per video: ``K`` is the smallest power of two at
+#: least this many times ``M``, wide enough that a bucket of a moderately
+#: skewed vector rarely holds two cdf boundaries.
+_BUCKETS_PER_VIDEO = 4
+#: Draws smaller than this go straight to ``searchsorted``: below it one
+#: search costs less than the table's gathers.
+_TABLE_MIN_DRAW = 128
+
+
+class ChoiceSampler:
+    """``Generator.choice(M, size, p=p)``'s draws, through a guide table.
+
+    See the module docstring for the bit-exactness contract.  *p* is taken
+    as given: callers validate it (:func:`sample_choice` does).  The table
+    is built on the first draw of at least an eighth of its ``K`` buckets,
+    so that its ``O(K)`` build is about what the draw's own ``O(size log
+    M)`` searches would cost; draws that come too small for it, before or
+    after, go straight to ``searchsorted``.
+    """
+
+    __slots__ = ("_cdf", "_buckets", "_table_min", "_table")
+
+    def __init__(self, p: np.ndarray) -> None:
+        cdf = np.asarray(p, dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf
+        self._buckets = 1 << (_BUCKETS_PER_VIDEO * cdf.size - 1).bit_length()
+        self._table_min = max(self._buckets >> 3, _TABLE_MIN_DRAW)
+        self._table: tuple | None = None
+
+    def _build_table(self) -> tuple:
+        """``(base, crowded)`` per bucket ``b``, ``[b/K, (b+1)/K)``.
+
+        ``base[b]`` counts the cdf entries ``<= b/K`` (``ceil(cdf K) <= b``)
+        and ``below[b]`` those ``< (b+1)/K`` (``floor(cdf K) <= b``); ``cdf
+        * K`` is exact.  ``base[b] < M`` because ``cdf[-1] == 1``.  ``base``
+        is stored as 32-bit when ``M`` allows, halving the table's memory
+        traffic.
+        """
+        cdf, buckets = self._cdf, self._buckets
+        scaled = cdf * buckets
+        base = np.bincount(
+            np.ceil(scaled).astype(np.intp), minlength=buckets + 1
+        )[:buckets].cumsum()
+        below = np.bincount(
+            scaled.astype(np.intp), minlength=buckets + 1
+        )[:buckets].cumsum()
+        crowded = below - base > 1
+        if cdf.size <= np.iinfo(np.int32).max:
+            base = base.astype(np.int32)
+        return base, crowded if crowded.any() else None
+
+    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``size`` indices, exactly as ``rng.choice(M, size, p=p)``."""
+        cdf = self._cdf
+        uniforms = rng.random(size)
+        if self._table is None:
+            if uniforms.size < self._table_min:
+                return cdf.searchsorted(uniforms, side="right")
+            self._table = self._build_table()
+        elif uniforms.size < _TABLE_MIN_DRAW:
+            return cdf.searchsorted(uniforms, side="right")
+        base, crowded = self._table
+        bucket = (uniforms * self._buckets).astype(np.intp)
+        index = base[bucket].astype(np.intp)
+        index += uniforms >= cdf[index]
+        if crowded is not None:
+            hit = crowded[bucket]
+            if hit.any():
+                index[hit] = cdf.searchsorted(uniforms[hit], side="right")
+        return index
+
+
+#: ``Generator.choice``'s tolerance on ``|sum(p) - 1|`` for a float64 *p*.
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _surely_accepted(p) -> bool:
+    """Whether ``Generator.choice`` certainly accepts *p*.
+
+    A 1-D float64 array, non-negative (``min`` is NaN-safe: NaN fails it)
+    and summing to 1 within half numpy's tolerance; numpy's Kahan sum and
+    this pairwise sum differ by far less than the other half.
+    """
+    return (
+        isinstance(p, np.ndarray)
+        and p.dtype == np.float64
+        and p.ndim == 1
+        and p.size > 0
+        and p.min() >= 0.0
+        and abs(p.sum() - 1.0) <= 0.5 * _CHOICE_ATOL
+    )
+
+
+def sample_choice(
+    p: np.ndarray, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``rng.choice(len(p), size=size, p=p)`` through a :class:`ChoiceSampler`.
+
+    Same indices, same generator state afterwards, same ``ValueError`` on
+    a *p* that ``Generator.choice`` rejects.
+    """
+    if not _surely_accepted(p):
+        # numpy's own verdict: a zero-sample choice runs its checks on p
+        # and draws nothing.
+        rng.choice(np.size(p), size=0, p=p)
+    return ChoiceSampler(p).sample(size, rng)
 
 
 @dataclass(frozen=True)
@@ -122,10 +252,18 @@ class PopularityModel:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
+    @cached_property
+    def _sampler(self) -> ChoiceSampler:
+        return ChoiceSampler(self.probabilities)
+
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``size`` video indices (0-based) i.i.d. from the model."""
+        """Draw ``size`` video indices (0-based) i.i.d. from the model.
+
+        Bit-exact with ``rng.choice(M, size=size, p=self.probabilities)``
+        (see the module docstring).
+        """
         check_int_in_range("size", size, 0)
-        return rng.choice(self.num_videos, size=size, p=self.probabilities)
+        return self._sampler.sample(size, rng)
 
     def expected_requests(self, total_requests: float) -> np.ndarray:
         """Expected request count per video given a total request volume."""

@@ -19,6 +19,13 @@ popularities are sorted once (``O(M log M)``); each search step then counts
 its total from the ``N - 1`` interior boundaries alone, in ``O(N log M)``,
 and per-video counts are built only for the chosen ``u``.
 
+The bisection stops as soon as the best fitting total equals the budget.
+It moves the chosen ``u`` only on a *strictly* larger total that still
+fits, and no fitting total exceeds the budget, so from then on no step can
+move ``u`` or the counts; the remaining steps would only narrow the
+bracket.  ``info`` then reports fewer iterations and evaluations than a
+search run down to ``tol``, with the same ``u``, counts and utilization.
+
 Degenerate cases handled explicitly:
 
 * **Uniform popularity** (``p_1 == p_M``): the interval construction is
@@ -140,6 +147,12 @@ def _trim_to_budget(
     return counts, trimmed
 
 
+def _check_search(tol: float, max_iterations: int) -> None:
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    check_int_in_range("max_iterations", max_iterations, 1)
+
+
 def zipf_interval_replication(
     popularity: np.ndarray,
     num_servers: int,
@@ -153,8 +166,10 @@ def zipf_interval_replication(
     Returns the assignment with the largest total number of replicas that
     does not exceed *budget* over the explored bracket (Lemma 4.1 makes the
     search sound).  ``info`` records the tuned ``u``, the evaluation count
-    and how much of the budget was used.
+    and how much of the budget was used.  The bisection ends once the
+    budget is filled exactly (see the module docstring).
     """
+    _check_search(tol, max_iterations)
     probs = validate_replication_inputs(popularity, num_servers, budget)
     num_videos = probs.size
     budget = min(budget, num_servers * num_videos)
@@ -204,7 +219,11 @@ def zipf_interval_replication(
         else:
             # --- binary search --------------------------------------------
             best_u, best_total = lo, total_lo
-            while hi - lo > tol and iterations < max_iterations:
+            while (
+                best_total < budget
+                and hi - lo > tol
+                and iterations < max_iterations
+            ):
                 mid = 0.5 * (lo + hi)
                 total_mid = total_at(mid)
                 if total_mid <= budget:
@@ -238,9 +257,7 @@ class ZipfIntervalReplicator(Replicator):
     name = "zipf"
 
     def __init__(self, *, tol: float = 1e-8, max_iterations: int = 120) -> None:
-        if tol <= 0:
-            raise ValueError(f"tol must be > 0, got {tol}")
-        check_int_in_range("max_iterations", max_iterations, 1)
+        _check_search(tol, max_iterations)
         self._tol = float(tol)
         self._max_iterations = int(max_iterations)
 

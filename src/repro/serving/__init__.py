@@ -31,6 +31,7 @@ from .plane import (
 from .workload import (
     epoch_arrivals,
     epoch_offered_rate,
+    epoch_offered_rates,
     epoch_rng,
     epoch_trace,
     evolve_popularity,
@@ -50,6 +51,7 @@ __all__ = [
     "replica_budget_for",
     "epoch_arrivals",
     "epoch_offered_rate",
+    "epoch_offered_rates",
     "epoch_rng",
     "epoch_trace",
     "evolve_popularity",

@@ -48,7 +48,7 @@ from ..replication.zipf_interval import zipf_interval_replication
 from .config import ServingConfig
 from .elasticity import ElasticityController, ElasticityPolicy
 from .workload import (
-    epoch_offered_rate,
+    epoch_offered_rates,
     epoch_rng,
     epoch_traces,
     evolve_popularity,
@@ -513,11 +513,12 @@ class ServingControlPlane:
                 )
             )
 
+        offered_rates = epoch_offered_rates(config)
         snapshots: list[EpochSnapshot] = []
         for epoch in range(config.epochs):
             true_probs = evolve_popularity(config, epoch, true_probs)
             traces = epoch_traces(config, epoch, true_probs)
-            offered = epoch_offered_rate(config, epoch)
+            offered = offered_rates[epoch]
             result = self._simulate(epoch, layout, num_servers, traces)
 
             counts = result.per_video_requests

@@ -38,6 +38,7 @@ __all__ = [
     "epoch_rng",
     "epoch_arrivals",
     "epoch_offered_rate",
+    "epoch_offered_rates",
     "epoch_trace",
     "epoch_traces",
     "evolve_popularity",
@@ -133,6 +134,22 @@ def epoch_offered_rate(config: ServingConfig, epoch: int) -> float:
     return float(
         np.trapezoid(rate_fn(grid), grid) / config.resolved_epoch_minutes
     )
+
+
+def epoch_offered_rates(config: ServingConfig) -> list[float]:
+    """:func:`epoch_offered_rate` of every epoch of *config*, in order.
+
+    The rate depends only on the epoch's day slot and whether it is a flash
+    epoch, so each distinct pair is integrated once.
+    """
+    rates: dict[tuple[int, bool], float] = {}
+    out = []
+    for epoch in range(config.epochs):
+        key = (epoch % config.day_epochs, epoch in config.flash_epochs)
+        if key not in rates:
+            rates[key] = epoch_offered_rate(config, epoch)
+        out.append(rates[key])
+    return out
 
 
 def epoch_trace(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._validation import check_positive, check_probability_vector
-from ..popularity import zipf_probabilities
+from ..popularity import sample_choice, zipf_probabilities
 from .arrivals import PoissonArrivals
 from .requests import RequestTrace
 
@@ -181,7 +181,7 @@ def generate_adversarial_trace(
         mask = (times >= lo) & (times < hi)
         count = int(mask.sum())
         if count:
-            videos[mask] = rng.choice(
-                probs.size, size=count, p=segment_probs
-            )
+            # The raw segment vector, not a PopularityModel: the model's
+            # renormalisation would change the draws' bits.
+            videos[mask] = sample_choice(segment_probs, count, rng)
     return RequestTrace(times, videos)

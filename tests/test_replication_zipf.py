@@ -150,6 +150,16 @@ class TestZipfIntervalReplication:
         with pytest.raises(ValueError):
             ZipfIntervalReplicator(max_iterations=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")},
+         {"max_iterations": 0}, {"max_iterations": -3}],
+    )
+    def test_direct_call_validates_search_settings(self, kwargs):
+        probs = zipf_probabilities(50, 0.5)
+        with pytest.raises(ValueError):
+            zipf_interval_replication(probs, 8, 80, **kwargs)
+
 
 class TestTrimToBudget:
     """The heap-based trim must match the original argmin scan exactly."""
@@ -217,10 +227,17 @@ class TestTrimToBudget:
             _trim_to_budget(probs, counts, 3)
 
 
-#: ``replication_digest(random_draws(300))`` of the accepted search.
+#: ``replication_digest(random_draws(300))``: the counts and every ``info``
+#: field but the search's step counts, unchanged since the search first
+#: counted totals from the boundaries.
 REPLICATION_DIGEST = (
-    "cfa7f5e089026297636b8d702ebf84a655bff73f1a2e8f8c490ab5cfbe49ebe2"
+    "54d57ac0e85e6792de5dbcae7d90a856e86586bc983debc4ab616638f9e0e88a"
 )
+#: Total ``info["evaluations"]`` over ``random_draws(300)``, a count;
+#: :func:`full_bisection`, which bisects down to ``tol``, takes 7,792.
+EVALUATION_TOTAL = 3415
+#: ``info`` fields that count search steps rather than describe the result.
+SEARCH_STEP_FIELDS = ("iterations", "evaluations")
 
 
 def random_draws(count, seed=2024):
@@ -248,9 +265,66 @@ def replication_digest(draws):
     digest = hashlib.sha256()
     for probs, num_servers, budget in draws:
         result = zipf_interval_replication(probs, num_servers, budget)
+        info = {
+            key: value
+            for key, value in result.info.items()
+            if key not in SEARCH_STEP_FIELDS
+        }
         digest.update(np.asarray(result.replica_counts, dtype=np.int64).tobytes())
-        digest.update(repr(sorted(result.info.items())).encode())
+        digest.update(repr(sorted(info.items())).encode())
     return digest.hexdigest()
+
+
+def full_bisection(probs, num_servers, budget, tol=1e-8, max_iterations=120):
+    """``(counts, u, utilization, evaluations)`` of the search bisecting
+    ``u`` all the way down to *tol*, as it ran before the exact-fill exit."""
+    from repro.replication.zipf_interval import (
+        _MAX_ABS_U,
+        _interval_total,
+        _trim_to_budget,
+    )
+
+    budget = min(budget, num_servers * probs.size)
+    ascending = np.sort(probs)
+    evaluations = 0
+
+    def total_at(u):
+        nonlocal evaluations
+        evaluations += 1
+        return _interval_total(ascending, num_servers, u)
+
+    lo, hi = -1.0, 1.0
+    total_lo = total_at(lo)
+    while total_lo > budget and lo > -_MAX_ABS_U:
+        lo *= 2.0
+        total_lo = total_at(lo)
+    total_hi = total_at(hi)
+    while total_hi <= budget and hi < _MAX_ABS_U:
+        lo, total_lo = hi, total_hi
+        hi *= 2.0
+        total_hi = total_at(hi)
+    if total_lo > budget:
+        counts, _ = _trim_to_budget(
+            probs, interval_replica_counts(probs, num_servers, lo), budget
+        )
+        return counts, lo, int(counts.sum()) / budget, evaluations
+    if total_hi <= budget:
+        best_u, best_total = hi, total_hi
+    else:
+        best_u, best_total = lo, total_lo
+        iterations = 0
+        while hi - lo > tol and iterations < max_iterations:
+            mid = 0.5 * (lo + hi)
+            total_mid = total_at(mid)
+            if total_mid <= budget:
+                lo = mid
+                if total_mid > best_total:
+                    best_u, best_total = mid, total_mid
+            else:
+                hi = mid
+            iterations += 1
+    counts = interval_replica_counts(probs, num_servers, best_u)
+    return counts, best_u, best_total / budget, evaluations
 
 
 class TestSearchTotals:
@@ -276,7 +350,29 @@ class TestSearchTotals:
         assert len(evaluated) > 3000
 
     def test_results_match_the_pinned_digest(self):
-        # (replica_counts, info) of the 300 draws, pinned before the search
-        # counted totals from the boundaries: u, iterations, evaluations
-        # and utilization must not move.
+        # Counts, u, utilization and the other result fields of the 300
+        # draws must not move; the step counts are pinned on their own.
         assert replication_digest(random_draws(300)) == REPLICATION_DIGEST
+
+    def test_evaluation_total_is_pinned(self):
+        total = sum(
+            zipf_interval_replication(p, n, b).info["evaluations"]
+            for p, n, b in random_draws(300)
+        )
+        assert total == EVALUATION_TOTAL
+
+    def test_exact_fill_exit_matches_the_full_bisection(self):
+        exits = 0
+        for probs, num_servers, budget in random_draws(300):
+            result = zipf_interval_replication(probs, num_servers, budget)
+            if "degenerate" in result.info:
+                continue
+            counts, u, utilization, evaluations = full_bisection(
+                probs, num_servers, budget
+            )
+            np.testing.assert_array_equal(result.replica_counts, counts)
+            assert result.info["u"] == u
+            assert result.info["budget_utilization"] == utilization
+            assert result.info["evaluations"] <= evaluations
+            exits += result.info["evaluations"] < evaluations
+        assert exits > 100

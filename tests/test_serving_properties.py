@@ -26,6 +26,7 @@ from repro.serving import (
     bootstrap_layout,
     chain_batch_epochs,
     epoch_offered_rate,
+    epoch_offered_rates,
     epoch_rng,
     epoch_trace,
     evolve_popularity,
@@ -186,6 +187,28 @@ class TestServingWorkload:
         assert epoch_offered_rate(flashed, 2) == pytest.approx(
             epoch_offered_rate(calm, 2)
         )
+
+    def test_offered_rates_equal_per_epoch_rates_with_one_integral_per_slot(
+        self, monkeypatch
+    ):
+        from repro.serving import workload
+
+        config = make_config(
+            epochs=13, day_epochs=4, flash_epochs=(1, 6, 9), flash_multiplier=3.0
+        )
+        expected = [epoch_offered_rate(config, e) for e in range(config.epochs)]
+        integrated = []
+        exact = workload.epoch_offered_rate
+
+        def spy(config, epoch):
+            integrated.append(epoch)
+            return exact(config, epoch)
+
+        monkeypatch.setattr(workload, "epoch_offered_rate", spy)
+        assert epoch_offered_rates(config) == expected
+        # Slot 1 first comes flashed (epoch 1), then calm (epoch 5); slot 2
+        # first calm, then flashed (epoch 6); epoch 9 repeats slot 1 flashed.
+        assert integrated == [0, 1, 2, 3, 5, 6]
 
     def test_epoch_trace_replays_bit_identically(self):
         config = make_config()

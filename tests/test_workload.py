@@ -215,3 +215,37 @@ class TestTraceIO:
         path.write_text("arrival_min,video\n1.0,2,3\n")
         with pytest.raises(ValueError, match="columns"):
             load_trace(path)
+
+
+def choice_adversarial_trace(probs, rate_per_min, duration_min, spec, rng):
+    """The adversarial generator as it drew each segment with
+    ``Generator.choice``; the reference for the shared sampler."""
+    from repro.workload.adversarial import popularity_schedule
+
+    times = PoissonArrivals(rate_per_min).sample(duration_min, rng)
+    videos = np.zeros(times.size, dtype=np.int64)
+    schedule = popularity_schedule(probs, spec)
+    bounds = [start * duration_min for start, _ in schedule] + [duration_min]
+    for index, (_, segment_probs) in enumerate(schedule):
+        mask = (times >= bounds[index]) & (times < bounds[index + 1])
+        count = int(mask.sum())
+        if count:
+            videos[mask] = rng.choice(probs.size, size=count, p=segment_probs)
+    return RequestTrace(times, videos)
+
+
+class TestAdversarialSampling:
+    @pytest.mark.parametrize("kind", ["inversion", "hotset_flip", "theta_ramp"])
+    @pytest.mark.parametrize("num_videos", [1, 40, 2_000])
+    def test_matches_per_segment_choice(self, kind, num_videos):
+        from repro.workload import AdversarialSpec, generate_adversarial_trace
+
+        spec = AdversarialSpec(kind=kind, hotset_size=5)
+        probs = ZipfPopularity(num_videos, 0.9).probabilities
+        expected_rng = np.random.default_rng(num_videos)
+        rng = np.random.default_rng(num_videos)
+        expected = choice_adversarial_trace(probs, 30.0, 120.0, spec, expected_rng)
+        got = generate_adversarial_trace(probs, 30.0, 120.0, spec, rng)
+        np.testing.assert_array_equal(got.arrival_min, expected.arrival_min)
+        np.testing.assert_array_equal(got.videos, expected.videos)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
