@@ -15,26 +15,37 @@ Subcommands::
 ``experiments`` and ``fuzz`` delegate verbatim to the underlying
 drivers (``python -m repro.experiments`` / ``python -m
 repro.verify.fuzz``), which keep working unchanged.  ``pipeline`` runs the
-:func:`repro.pipeline.solve` facade for one design point, optionally
-instrumented; ``observe-report`` renders a trace JSONL written with
-``--trace-out`` (or :meth:`repro.observe.Observer.export_jsonl`).
-``--engine``, ``--shards``, ``--jobs`` and ``--observe`` mean the same
-thing on ``pipeline`` and ``serve``.
+:func:`repro.pipeline.solve` facade for one design point and ``serve``
+the :class:`repro.serving.ServingControlPlane`, optionally instrumented;
+``observe-report`` renders a trace JSONL written with ``--trace-out`` (or
+:meth:`repro.observe.Observer.export_jsonl`).
+
+Every ``pipeline``/``serve`` flag that sets a config field stores under
+that field's name and declares no default, so the dataclass default is
+the only one and a bad value fails the config's own check as a usage
+error.  Choice lists come from the registries.  Flags with a default are
+run flags: they set no field.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 
-def _shared_sim_flags(parser) -> None:
-    """Flags whose meaning is identical across ``pipeline`` and ``serve``."""
-    from .cluster_sim import DEFAULT_ENGINE, ENGINES
+def _core_flags(parser) -> None:
+    """The :class:`~repro.config_core.SimulationConfig` flags and the run
+    flags that mean the same on ``pipeline`` and ``serve``."""
+    from .cluster_sim import DISPATCHERS, ENGINES
 
+    parser.add_argument("--theta", type=float, help="Zipf skew")
+    parser.add_argument(
+        "--degree", dest="replication_degree", type=float, help="replication degree"
+    )
+    parser.add_argument("--dispatcher", choices=tuple(DISPATCHERS))
     parser.add_argument(
         "--engine",
-        default=DEFAULT_ENGINE,
         choices=tuple(ENGINES),
         help=(
             "lockstep simulation engine: vector (numpy event-batch core, "
@@ -44,15 +55,31 @@ def _shared_sim_flags(parser) -> None:
             "identical results"
         ),
     )
+    parser.add_argument("--backbone-mbps", type=float, help="redirection backbone")
+    parser.add_argument(
+        "--failures",
+        metavar="SPEC",
+        help=(
+            "chaos recipe 'kind:key=value,...' (per epoch on serve) — "
+            "kinds: single (t,server,down), random (mtbf,mttr), correlated "
+            "(groups,mtbf,mttr), mtbf (mtbf,mttr); e.g. "
+            "'single:t=30,server=0,down=15'"
+        ),
+    )
     parser.add_argument(
         "--shards",
         type=int,
-        default=1,
         help=(
             "split each simulated run into K deterministic arrival-stream "
             "shards and merge the per-shard results (weak scaling; "
             "1 = unsharded)"
         ),
+    )
+    parser.add_argument(
+        "--failover",
+        action="store_true",
+        default=False,
+        help="failover dispatch with retry/backoff for failure-hit requests",
     )
     parser.add_argument(
         "--jobs",
@@ -63,80 +90,37 @@ def _shared_sim_flags(parser) -> None:
     parser.add_argument(
         "--observe",
         action="store_true",
+        default=False,
         help="instrument the run (metrics + traces); implied by --trace-out",
+    )
+    parser.add_argument(
+        "--trace-out",
+        default=None,
+        metavar="PATH",
+        help="write the observation as JSONL (implies --observe)",
     )
 
 
 def _pipeline_parser(subparsers) -> None:
+    from .pipeline import PLACERS, REPLICATORS
+
     parser = subparsers.add_parser(
         "pipeline",
         help="run the replicate->place->simulate facade for one design point",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--theta", type=float, default=0.75, help="Zipf skew")
+    parser.set_defaults(build=_pipeline, error=parser.error)
+    _core_flags(parser)
     parser.add_argument(
-        "--degree", type=float, default=1.2, help="replication degree"
-    )
-    parser.add_argument(
-        "--rate", type=float, default=30.0, help="arrival rate (requests/min)"
-    )
-    parser.add_argument(
-        "--runs", type=int, default=None, help="simulation runs (default: setup's)"
-    )
-    from .pipeline import PLACERS, REPLICATORS
-
-    parser.add_argument(
-        "--replicator",
-        default="zipf",
-        choices=tuple(REPLICATORS),
+        "--rate", dest="arrival_rate_per_min", type=float, help="requests/min"
     )
     parser.add_argument(
-        "--placer", default="slf", choices=tuple(PLACERS)
+        "--runs", dest="num_runs", type=int, help="simulation runs (default: setup's)"
     )
-    parser.add_argument(
-        "--dispatcher",
-        default="static_rr",
-        choices=("static_rr", "least_loaded", "first_fit"),
-    )
-    parser.add_argument(
-        "--backbone-mbps", type=float, default=0.0, help="redirection backbone"
-    )
-    parser.add_argument(
-        "--failures",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "chaos recipe 'kind:key=value,...' — kinds: single "
-            "(t,server,down), random (mtbf,mttr), correlated "
-            "(groups,mtbf,mttr), mtbf (mtbf,mttr); e.g. "
-            "'single:t=30,server=0,down=15'"
-        ),
-    )
-    parser.add_argument(
-        "--failover",
-        action="store_true",
-        help="failover dispatch with retry/backoff for failure-hit requests",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=3, help="failover retry budget"
-    )
-    parser.add_argument(
-        "--rereplicate",
-        action="store_true",
-        help="restore lost replicas on repair over the migration network",
-    )
-    parser.add_argument(
-        "--migration-mbps",
-        type=float,
-        default=1000.0,
-        help="re-replication bandwidth cap",
-    )
-    _shared_sim_flags(parser)
-    parser.add_argument(
-        "--refine", action="store_true", help="hill-climb the placement"
-    )
-    parser.add_argument(
-        "--anneal", action="store_true", help="SA over scalable bit rates"
-    )
+    parser.add_argument("--replicator", choices=tuple(REPLICATORS))
+    parser.add_argument("--placer", choices=tuple(PLACERS))
+    parser.add_argument("--refine", action="store_true", help="hill-climb placement")
+    parser.add_argument("--anneal", action="store_true", help="SA over scalable rates")
     parser.add_argument(
         "--surrogate",
         action="store_true",
@@ -146,25 +130,26 @@ def _pipeline_parser(subparsers) -> None:
         ),
     )
     parser.add_argument(
-        "--screen-candidates",
-        type=int,
-        default=24,
-        help="candidate layouts scored by the surrogate screen",
+        "--screen-candidates", type=int, help="layouts scored by the surrogate screen"
     )
     parser.add_argument(
-        "--top-k",
-        type=int,
-        default=3,
-        help="screen survivors that get DES confirmation",
+        "--top-k", dest="screen_top_k", type=int, help="screen survivors run on the DES"
     )
     parser.add_argument(
-        "--screen-seed",
-        type=int,
-        default=0,
-        help="seed for the screen's random candidate layouts",
+        "--screen-seed", type=int, help="seed of the screen's random layouts"
     )
     parser.add_argument(
-        "--quick", action="store_true", help="reduced run count (3)"
+        "--quick", action="store_true", default=False, help="reduced run count (3)"
+    )
+    parser.add_argument("--max-retries", type=int, default=3, help="failover retries")
+    parser.add_argument(
+        "--rereplicate",
+        action="store_true",
+        default=False,
+        help="restore lost replicas on repair over the migration network",
+    )
+    parser.add_argument(
+        "--migration-mbps", type=float, default=1000.0, help="re-replication bandwidth"
     )
     parser.add_argument(
         "--sample-interval",
@@ -175,227 +160,103 @@ def _pipeline_parser(subparsers) -> None:
     parser.add_argument(
         "--trace-events",
         action="store_true",
+        default=False,
         help="record sampled arrival/departure events in the trace",
     )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="PATH",
-        help="write the observation as JSONL (implies --observe)",
-    )
+
+
+def _epoch_list(text: str) -> tuple[int, ...]:
+    """``"1,2"`` -> ``(1, 2)``; an empty string is no epochs."""
+    return tuple(int(e) for e in text.split(",")) if text else ()
 
 
 def _serve_parser(subparsers) -> None:
+    from .serving import REPLAN_MODES
+
     parser = subparsers.add_parser(
         "serve",
         help="run the online serving control plane (epoch loop with drift "
         "re-optimization and SLO elasticity)",
+        argument_default=argparse.SUPPRESS,
+    )
+    parser.set_defaults(build=_serve, error=parser.error)
+    _core_flags(parser)
+    parser.add_argument("--epochs", type=int, help="epochs to serve")
+    parser.add_argument(
+        "--epoch-minutes", type=float, help="epoch length (default: the peak window)"
     )
     parser.add_argument(
-        "--epochs", type=int, default=8, help="epochs to serve"
+        "--base-rate", dest="base_rate_per_min", type=float, help="off-peak rate/min"
     )
     parser.add_argument(
-        "--epoch-minutes",
-        type=float,
-        default=None,
-        help="epoch length (default: the setup's peak window)",
+        "--peak-rate", dest="peak_rate_per_min", type=float, help="peak requests/min"
     )
-    parser.add_argument("--theta", type=float, default=0.75, help="Zipf skew")
-    parser.add_argument(
-        "--degree", type=float, default=1.2, help="replication degree"
-    )
-    parser.add_argument(
-        "--base-rate", type=float, default=15.0, help="off-peak requests/min"
-    )
-    parser.add_argument(
-        "--peak-rate", type=float, default=30.0, help="diurnal peak requests/min"
-    )
-    parser.add_argument(
-        "--day-epochs", type=int, default=4, help="epochs per diurnal day"
-    )
+    parser.add_argument("--day-epochs", type=int, help="epochs per diurnal day")
     parser.add_argument(
         "--flash-epochs",
-        default=None,
+        type=_epoch_list,
         metavar="E1,E2,...",
         help="epochs hit by a flash-crowd spike (comma-separated)",
     )
     parser.add_argument(
-        "--flash-multiplier",
-        type=float,
-        default=2.0,
-        help="rate multiplier during a flash crowd",
+        "--flash-multiplier", type=float, help="rate multiplier during a flash crowd"
     )
     parser.add_argument(
         "--drift",
-        default=None,
         metavar="SPEC",
         help="popularity drift: none | rankswap:K | release:K | lognormal:S",
     )
     parser.add_argument(
-        "--replan",
-        default="drift",
-        choices=("drift", "always", "never"),
-        help="re-planning policy (drift = on detector trigger)",
+        "--replan", choices=REPLAN_MODES, help="re-plan on drift, always or never"
     )
     parser.add_argument(
-        "--drift-threshold",
-        type=float,
-        default=0.10,
-        help="total-variation drift threshold for replan=drift",
+        "--drift-threshold", type=float, help="total-variation trigger of replan=drift"
     )
     parser.add_argument(
-        "--move-budget",
-        type=int,
-        default=None,
-        help="max replicas copied per re-plan (default: unlimited)",
+        "--move-budget", type=int, help="replicas copied per re-plan (default: no cap)"
     )
     parser.add_argument(
-        "--screen",
-        action="store_true",
-        help="surrogate-screen each migration against the incumbent",
+        "--screen", action="store_true", help="surrogate-screen each migration"
     )
     parser.add_argument(
-        "--anneal-polish",
-        action="store_true",
-        help="warm-start SA polish of each migrated layout",
+        "--anneal-polish", action="store_true", help="SA-polish each migrated layout"
     )
     parser.add_argument(
-        "--elastic",
-        action="store_true",
-        help="add/drain servers on sustained SLO breach/calm",
+        "--elastic", action="store_true", help="add/drain servers on SLO breach/calm"
     )
     parser.add_argument(
-        "--slo",
-        type=float,
-        default=0.05,
-        help="SLO rejection-rate target",
+        "--slo", dest="slo_rejection_rate", type=float, help="rejection-rate target"
     )
     parser.add_argument(
-        "--max-servers",
-        type=int,
-        default=None,
-        help="elastic ceiling (default: 2x the setup)",
+        "--max-servers", type=int, help="elastic ceiling (default: 2x the setup)"
     )
+    parser.add_argument("--seed", type=int, help="override the setup seed")
     parser.add_argument(
-        "--dispatcher",
-        default="static_rr",
-        choices=("static_rr", "least_loaded", "first_fit"),
-    )
-    parser.add_argument(
-        "--backbone-mbps", type=float, default=0.0, help="redirection backbone"
-    )
-    parser.add_argument(
-        "--failures",
-        default=None,
-        metavar="SPEC",
-        help="per-epoch chaos recipe (same grammar as pipeline --failures)",
-    )
-    parser.add_argument(
-        "--failover",
-        action="store_true",
-        help="failover dispatch for failure-hit requests",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the setup seed"
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="scaled-down setup (50x4)"
-    )
-    _shared_sim_flags(parser)
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="PATH",
-        help="write the observation as JSONL (implies --observe)",
+        "--quick", action="store_true", default=False, help="scaled-down setup (50x4)"
     )
 
 
-def _cmd_serve(args) -> int:
-    from .cluster_sim import FailoverPolicy
-    from .experiments.config import PaperSetup
-    from .serving import ServingConfig, ServingControlPlane
+def _build_config(cls, args, **objects):
+    """*cls* from the flags stored under its field names, plus *objects*.
 
-    setup = PaperSetup()
-    if args.quick:
-        setup = setup.scaled_down()
-    flash = ()
-    if args.flash_epochs:
-        flash = tuple(int(e) for e in args.flash_epochs.split(","))
-    config = ServingConfig(
-        epochs=args.epochs,
-        epoch_minutes=args.epoch_minutes,
-        theta=args.theta,
-        replication_degree=args.degree,
-        base_rate_per_min=args.base_rate,
-        peak_rate_per_min=args.peak_rate,
-        day_epochs=args.day_epochs,
-        flash_epochs=flash,
-        flash_multiplier=args.flash_multiplier,
-        drift=args.drift,
-        replan=args.replan,
-        drift_threshold=args.drift_threshold,
-        move_budget=args.move_budget,
-        screen=args.screen,
-        anneal_polish=args.anneal_polish,
-        elastic=args.elastic,
-        slo_rejection_rate=args.slo,
-        max_servers=args.max_servers,
-        dispatcher=args.dispatcher,
-        engine=args.engine,
-        backbone_mbps=args.backbone_mbps,
-        failures=args.failures,
-        failover=(FailoverPolicy() if args.failover else None),
-        failover_on_down=args.failover,
-        shards=args.shards,
-        setup=setup,
-        seed=args.seed,
-    )
-    observer = None
-    if args.observe or args.trace_out:
-        from .observe import Observer
-
-        observer = Observer()
-    runner = None
-    if args.jobs > 1:
-        from .runtime import ParallelRunner
-
-        runner = ParallelRunner(jobs=args.jobs, observer=observer)
-    try:
-        result = ServingControlPlane(
-            config, observer=observer, runner=runner
-        ).run()
-    finally:
-        if runner is not None:
-            runner.close()
-    print(result.format())
-    print(f"digest: {result.digest()}")
-    if observer is not None and args.trace_out:
-        lines = observer.export_jsonl(args.trace_out)
-        print(f"trace: {lines} lines -> {args.trace_out}")
-    return 0
+    ``--failover`` also turns on ``failover_on_down``.
+    """
+    names = {f.name for f in fields(cls)}
+    given = {k: v for k, v in vars(args).items() if k in names}
+    return cls(**{**given, "failover_on_down": args.failover, **objects})
 
 
-def _cmd_pipeline(args) -> int:
+def _pipeline(args):
+    """The ``pipeline`` verb: ``(observer config, run(observer, runner))``."""
     from .cluster_sim import FailoverPolicy, RereplicationPolicy
     from .experiments.config import PaperSetup
+    from .observe import ObserverConfig
     from .pipeline import PipelineConfig, solve
 
-    setup = PaperSetup()
-    if args.quick:
-        setup = setup.quick()
-    config = PipelineConfig(
-        theta=args.theta,
-        replication_degree=args.degree,
-        arrival_rate_per_min=args.rate,
-        num_runs=args.runs,
-        replicator=args.replicator,
-        placer=args.placer,
-        refine=args.refine,
-        anneal=args.anneal,
-        dispatcher=args.dispatcher,
-        engine=args.engine,
-        backbone_mbps=args.backbone_mbps,
-        failures=args.failures,
+    config = _build_config(
+        PipelineConfig,
+        args,
+        setup=PaperSetup().quick() if args.quick else PaperSetup(),
         failover=(
             FailoverPolicy(max_retries=args.max_retries)
             if args.failover
@@ -406,36 +267,66 @@ def _cmd_pipeline(args) -> int:
             if args.rereplicate
             else None
         ),
-        failover_on_down=args.failover,
-        surrogate=args.surrogate,
-        screen_candidates=args.screen_candidates,
-        screen_top_k=args.top_k,
-        screen_seed=args.screen_seed,
-        shards=args.shards,
-        setup=setup,
     )
-    observer = None
-    if args.observe or args.trace_out:
-        from .observe import Observer, ObserverConfig
+    observer_config = ObserverConfig(
+        sample_interval_min=args.sample_interval,
+        trace_events=args.trace_events,
+    )
 
-        observer = Observer(
-            ObserverConfig(
-                sample_interval_min=args.sample_interval,
-                trace_events=args.trace_events,
-            )
-        )
-    runner = None
-    if args.jobs > 1:
-        from .runtime import ParallelRunner
+    def run(observer, runner) -> str:
+        return solve(config, observer=observer, runner=runner).format()
 
-        runner = ParallelRunner(jobs=args.jobs, observer=observer)
+    return observer_config, run
+
+
+def _serve(args):
+    """The ``serve`` verb: ``(observer config, run(observer, runner))``."""
+    from .cluster_sim import FailoverPolicy
+    from .experiments.config import PaperSetup
+    from .serving import ServingConfig, ServingControlPlane
+
+    config = _build_config(
+        ServingConfig,
+        args,
+        setup=PaperSetup().scaled_down() if args.quick else PaperSetup(),
+        failover=FailoverPolicy() if args.failover else None,
+    )
+
+    def run(observer, runner) -> str:
+        result = ServingControlPlane(
+            config, observer=observer, runner=runner
+        ).run()
+        return f"{result.format()}\ndigest: {result.digest()}"
+
+    return None, run
+
+
+def _run_verb(args) -> int:
+    """Build the verb's config, observer and runner, then run and print.
+
+    A ``ValueError`` while building is a bad flag value (the configs check
+    their fields): it is reported as a usage error before anything runs.
+    """
     try:
-        result = solve(config, observer=observer, runner=runner)
+        observer_config, run = args.build(args)
+        observer = None
+        if args.observe or args.trace_out:
+            from .observe import Observer
+
+            observer = Observer(observer_config)
+        runner = None
+        if args.jobs != 1:
+            from .runtime import ParallelRunner
+
+            runner = ParallelRunner(jobs=args.jobs, observer=observer)
+    except ValueError as exc:
+        args.error(str(exc))
+    try:
+        print(run(observer, runner))
     finally:
         if runner is not None:
             runner.close()
-    print(result.format())
-    if observer is not None and args.trace_out:
+    if args.trace_out:
         lines = observer.export_jsonl(args.trace_out)
         print(f"trace: {lines} lines -> {args.trace_out}")
     return 0
@@ -449,8 +340,8 @@ def _cmd_observe_report(args) -> int:
     return 0
 
 
-def main(argv: "list[str] | None" = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Reproduction of optimal video replication/placement "
@@ -480,7 +371,12 @@ def main(argv: "list[str] | None" = None) -> int:
     report_parser.add_argument(
         "--chart", action="store_true", help="append an ASCII load chart"
     )
+    return parser
 
+
+def main(argv: "list[str] | None" = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     if argv and argv[0] == "experiments":
         from .experiments.__main__ import main as experiments_main
 
@@ -491,14 +387,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return fuzz_main(argv[1:])
 
     args = parser.parse_args(argv)
-    if args.command == "pipeline":
-        return _cmd_pipeline(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
     if args.command == "observe-report":
         return _cmd_observe_report(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
+    return _run_verb(args)
 
 
 if __name__ == "__main__":

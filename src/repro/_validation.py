@@ -17,6 +17,7 @@ __all__ = [
     "check_non_negative",
     "check_finite_non_negative",
     "check_int_in_range",
+    "IntegerTypeError",
     "check_probability_vector",
     "check_in_range",
     "as_float_array",
@@ -44,13 +45,23 @@ def check_finite_non_negative(name: str, value: float) -> float:
     return value
 
 
+class IntegerTypeError(TypeError, ValueError):
+    """A non-integer where an integer is required.
+
+    A ``TypeError`` to generic callers, and a ``ValueError`` so a config
+    built from user input reports it like any other bad value.
+    """
+
+
 def check_int_in_range(name: str, value: int, low: int, high: int | None = None) -> int:
     """Return *value* if it is an integer within ``[low, high]``.
 
     ``high`` may be ``None`` for an unbounded upper end.
     """
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+        raise IntegerTypeError(
+            f"{name} must be an integer, got {type(value).__name__}"
+        )
     if value < low or (high is not None and value > high):
         bound = f"[{low}, {high}]" if high is not None else f"[{low}, inf)"
         raise ValueError(f"{name} must be in {bound}, got {value}")

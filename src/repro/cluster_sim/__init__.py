@@ -33,6 +33,7 @@ from .engines import (
     validate_engine,
 )
 from .dispatch import (
+    DISPATCHERS,
     Dispatcher,
     FirstFitDispatcher,
     LeastLoadedDispatcher,
@@ -75,6 +76,7 @@ __all__ = [
     "engine_run_kwargs",
     "make_simulator",
     "validate_engine",
+    "DISPATCHERS",
     "Dispatcher",
     "FirstFitDispatcher",
     "LeastLoadedDispatcher",

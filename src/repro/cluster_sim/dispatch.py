@@ -26,6 +26,7 @@ __all__ = [
     "StaticRoundRobinDispatcher",
     "LeastLoadedDispatcher",
     "FirstFitDispatcher",
+    "DISPATCHERS",
     "make_dispatcher_factory",
     "failover_order",
 ]
@@ -127,19 +128,25 @@ class FirstFitDispatcher(Dispatcher):
         return list(self._servers_of[video])
 
 
+#: Dispatchers by name, the paper's static policy first.  The facade
+#: configs, the CLI choices and the verification samplers read this order.
+DISPATCHERS = {
+    cls.name: cls
+    for cls in (
+        StaticRoundRobinDispatcher,
+        LeastLoadedDispatcher,
+        FirstFitDispatcher,
+    )
+}
+
+
 def make_dispatcher_factory(
     kind: str,
 ) -> Callable[[ReplicaLayout], Dispatcher]:
-    """Factory by name: ``static_rr`` (default), ``least_loaded``, ``first_fit``."""
-    table = {
-        StaticRoundRobinDispatcher.name: StaticRoundRobinDispatcher,
-        LeastLoadedDispatcher.name: LeastLoadedDispatcher,
-        FirstFitDispatcher.name: FirstFitDispatcher,
-    }
+    """Factory by name: one of :data:`DISPATCHERS` (``static_rr`` default)."""
     try:
-        cls = table[kind]
+        return DISPATCHERS[kind]
     except KeyError:
         raise ValueError(
-            f"unknown dispatcher {kind!r}; choose from {sorted(table)}"
+            f"unknown dispatcher {kind!r}; choose from {sorted(DISPATCHERS)}"
         ) from None
-    return cls

@@ -7,7 +7,8 @@ point, the run-time dispatch policy, the lockstep *engine*, the
 redirection backbone, the chaos stack and the shard count.  Both facade
 configs inherit from it, so the two CLI surfaces (``python -m repro
 pipeline`` / ``serve``) expose one vocabulary and validate it in one
-place.
+place: their flags store under these field names and take no default of
+their own.
 
 The core is ``kw_only``: subclasses keep their own field order and every
 call site constructs configs by keyword (the facades have never accepted
@@ -36,7 +37,8 @@ class SimulationConfig:
     replication_degree:
         Cluster-wide replicas per video (1.0 = no replication).
     dispatcher:
-        Run-time dispatcher (``static_rr``, ``least_loaded``, ``first_fit``).
+        Run-time dispatcher, a name in
+        :data:`repro.cluster_sim.DISPATCHERS`.
     engine:
         Lockstep simulation engine (see
         :data:`repro.cluster_sim.ENGINES`): ``vector`` (numpy event-batch
@@ -96,8 +98,7 @@ class SimulationConfig:
         # The same [1, N] check (and message) PaperSetup.cluster applies.
         self.setup.replica_budget(self.replication_degree)
         check_finite_non_negative("backbone_mbps", self.backbone_mbps)
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
+        check_int_in_range("shards", self.shards, 1)
 
 
 def core_field_names() -> tuple[str, ...]:

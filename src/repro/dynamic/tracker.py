@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_in_range, check_int_in_range, check_non_negative
+from .._validation import (
+    check_finite_non_negative,
+    check_in_range,
+    check_int_in_range,
+)
 
 __all__ = ["EwmaPopularityTracker"]
 
@@ -39,14 +43,20 @@ class EwmaPopularityTracker:
         smoothing: float = 1.0,
     ) -> None:
         check_int_in_range("num_videos", num_videos, 1)
-        check_in_range("alpha", alpha, 0.0, 1.0)
-        if alpha == 0.0:
-            raise ValueError("alpha must be > 0 (the tracker would never learn)")
-        check_non_negative("smoothing", smoothing)
+        self.check_parameters(alpha, smoothing)
         self._alpha = float(alpha)
         self._smoothing = float(smoothing)
         self._estimate = np.full(num_videos, 1.0 / num_videos)
         self._epochs_observed = 0
+
+    @staticmethod
+    def check_parameters(alpha: float, smoothing: float) -> None:
+        """Raise ``ValueError`` unless ``alpha`` is in (0, 1] and
+        ``smoothing`` is finite and >= 0."""
+        check_in_range("alpha", alpha, 0.0, 1.0)
+        if alpha == 0.0:
+            raise ValueError("alpha must be > 0 (the tracker would never learn)")
+        check_finite_non_negative("smoothing", smoothing)
 
     # ------------------------------------------------------------------
     @property

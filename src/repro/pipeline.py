@@ -142,8 +142,8 @@ class PipelineConfig(SimulationConfig):
             raise ValueError(
                 f"unknown placer {self.placer!r}; choose from {sorted(PLACERS)}"
             )
-        if self.num_runs is not None and self.num_runs < 1:
-            raise ValueError(f"num_runs must be >= 1, got {self.num_runs}")
+        if self.num_runs is not None:
+            check_int_in_range("num_runs", self.num_runs, 1)
         check_finite_non_negative(
             "arrival_rate_per_min", self.arrival_rate_per_min
         )
@@ -153,25 +153,21 @@ class PipelineConfig(SimulationConfig):
             "anneal_steps_per_level", self.anneal_steps_per_level, 1
         )
         check_int_in_range("anneal_max_levels", self.anneal_max_levels, 1)
-        if self.surrogate:
-            if self.anneal:
-                raise ValueError(
-                    "surrogate screening needs fixed-rate layouts; it is "
-                    "incompatible with anneal=True (scalable bit rates)"
-                )
-            if self.shards > 1:
-                raise ValueError(
-                    "surrogate screening does not compose with shards > 1"
-                )
-            if self.screen_top_k < 1:
-                raise ValueError(
-                    f"screen_top_k must be >= 1, got {self.screen_top_k}"
-                )
-            if self.screen_candidates < self.screen_top_k:
-                raise ValueError(
-                    "screen_candidates must be >= screen_top_k, got "
-                    f"{self.screen_candidates} < {self.screen_top_k}"
-                )
+        check_int_in_range("anneal_seed", self.anneal_seed, 0)
+        check_int_in_range("screen_top_k", self.screen_top_k, 1)
+        check_int_in_range(
+            "screen_candidates", self.screen_candidates, self.screen_top_k
+        )
+        check_int_in_range("screen_seed", self.screen_seed, 0)
+        if self.surrogate and self.anneal:
+            raise ValueError(
+                "surrogate screening needs fixed-rate layouts; it is "
+                "incompatible with anneal=True (scalable bit rates)"
+            )
+        if self.surrogate and self.shards > 1:
+            raise ValueError(
+                "surrogate screening does not compose with shards > 1"
+            )
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,13 @@ corpus under ``tests/corpus/serving/`` pins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .._validation import (
     check_in_range,
     check_int_in_range,
     check_non_negative,
-    check_positive,
 )
 from ..config_core import SimulationConfig, core_field_names
 from ..dynamic.drift import (
@@ -32,6 +32,7 @@ from ..dynamic.drift import (
     RankSwapDrift,
     ReleaseChurnDrift,
 )
+from ..dynamic.tracker import EwmaPopularityTracker
 
 __all__ = ["ServingConfig", "parse_drift", "REPLAN_MODES"]
 
@@ -163,21 +164,31 @@ class ServingConfig(SimulationConfig):
         super().__post_init__()
         check_int_in_range("epochs", self.epochs, 1)
         if self.epoch_minutes is not None:
-            check_positive("epoch_minutes", self.epoch_minutes)
+            check_in_range(
+                "epoch_minutes", self.epoch_minutes, 0.0, math.inf,
+                inclusive=False,
+            )
         check_non_negative("base_rate_per_min", self.base_rate_per_min)
-        check_positive("peak_rate_per_min", self.peak_rate_per_min)
+        check_in_range(
+            "peak_rate_per_min", self.peak_rate_per_min, 0.0, math.inf,
+            inclusive=False,
+        )
         if self.peak_rate_per_min < self.base_rate_per_min:
             raise ValueError("peak_rate_per_min must be >= base_rate_per_min")
         check_int_in_range("day_epochs", self.day_epochs, 1)
-        if not self.flash_multiplier >= 1.0:
+        if not 1.0 <= self.flash_multiplier < math.inf:
             raise ValueError(
-                f"flash_multiplier must be >= 1, got {self.flash_multiplier}"
+                "flash_multiplier must be finite and >= 1, "
+                f"got {self.flash_multiplier}"
             )
         object.__setattr__(
-            self, "flash_epochs", tuple(int(e) for e in self.flash_epochs)
+            self,
+            "flash_epochs",
+            tuple(
+                check_int_in_range("flash_epochs entry", e, 0)
+                for e in self.flash_epochs
+            ),
         )
-        for e in self.flash_epochs:
-            check_int_in_range("flash_epochs entry", e, 0)
         if isinstance(self.drift, str):
             object.__setattr__(self, "drift", parse_drift(self.drift))
         if self.drift is not None and not isinstance(self.drift, PopularityDrift):
@@ -187,6 +198,9 @@ class ServingConfig(SimulationConfig):
                 f"unknown replan mode {self.replan!r}; choose from {REPLAN_MODES}"
             )
         check_in_range("drift_threshold", self.drift_threshold, 0.0, 1.0)
+        EwmaPopularityTracker.check_parameters(
+            self.tracker_alpha, self.tracker_smoothing
+        )
         if self.move_budget is not None:
             check_int_in_range("move_budget", self.move_budget, 0)
         check_int_in_range(
@@ -197,6 +211,8 @@ class ServingConfig(SimulationConfig):
         check_int_in_range("breach_epochs", self.breach_epochs, 1)
         check_int_in_range("relax_epochs", self.relax_epochs, 1)
         check_int_in_range("cooldown_epochs", self.cooldown_epochs, 0)
+        if self.seed is not None:
+            check_int_in_range("seed", self.seed, 0)
         setup = self.setup
         lo = self.min_servers if self.min_servers is not None else setup.num_servers
         hi = self.max_servers if self.max_servers is not None else 2 * setup.num_servers

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..cluster_sim import DISPATCHERS
+
 __all__ = [
     "FuzzCase",
     "draw_case",
@@ -33,7 +35,7 @@ __all__ = [
     "DISPATCHER_NAMES",
 ]
 
-DISPATCHER_NAMES = ("static_rr", "least_loaded", "first_fit")
+DISPATCHER_NAMES = tuple(DISPATCHERS)
 
 #: Largest seed stored in params (fits comfortably in JSON ints).
 _SEED_MAX = 2**31 - 1

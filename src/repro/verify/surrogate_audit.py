@@ -40,6 +40,7 @@ from ..analysis.surrogate import (
     evaluate_layout,
     server_stream_slots,
 )
+from ..cluster_sim import DISPATCHERS
 
 __all__ = [
     "SurrogateAuditCase",
@@ -209,9 +210,10 @@ def sample_audit_cases(
     saturated, and steady-state horizons (>= 25 holding times).
     """
     rng = np.random.default_rng(seed)
+    dispatchers = tuple(DISPATCHERS)
     cases = []
     for index in range(num_cases):
-        dispatcher = ("static_rr", "least_loaded", "first_fit")[index % 3]
+        dispatcher = dispatchers[index % len(dispatchers)]
         duration = float(rng.uniform(8.0, 15.0))
         cases.append(
             SurrogateAuditCase(

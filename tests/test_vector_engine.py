@@ -463,14 +463,26 @@ class TestDefaultEngine:
     def test_cli_engine_choices_match_registry(self):
         import argparse
 
-        from repro.__main__ import _shared_sim_flags
+        from repro import PipelineConfig
+        from repro.__main__ import build_parser
         from repro.cluster_sim import DEFAULT_ENGINE
+        from repro.serving import ServingConfig
 
-        parser = argparse.ArgumentParser()
-        _shared_sim_flags(parser)
-        (action,) = [a for a in parser._actions if a.dest == "engine"]
-        assert set(action.choices) == set(ENGINES)
-        assert action.default == DEFAULT_ENGINE
+        (verbs,) = [
+            a
+            for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        for verb, config_cls in (
+            ("pipeline", PipelineConfig),
+            ("serve", ServingConfig),
+        ):
+            parser = verbs.choices[verb]
+            (action,) = [a for a in parser._actions if a.dest == "engine"]
+            assert set(action.choices) == set(ENGINES)
+            # The flag declares no default: the config field's is the one.
+            assert action.default is argparse.SUPPRESS
+            assert config_cls().engine == DEFAULT_ENGINE
 
     def test_observed_solve_delegates_with_same_outcome(self, small_setup):
         from repro import PipelineConfig, solve
