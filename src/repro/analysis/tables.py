@@ -1,6 +1,6 @@
-"""ASCII table and series formatting for the benchmark harness.
+"""ASCII table and series formatting for the experiment reports.
 
-The harness prints the same rows/series the paper's figures plot; these
+The experiments print the same rows/series the paper's figures plot; these
 helpers render them as aligned monospace tables so `python -m
 repro.experiments figN` output is directly comparable to the figures.
 """

@@ -3,8 +3,8 @@
 One module per figure of Sec. 5 plus the extension experiments; every
 module exposes a ``run_*`` function returning structured results and a
 ``format_*`` function rendering the paper-comparable series.  The CLI
-(``python -m repro.experiments``) and the pytest-benchmark drivers in
-``benchmarks/`` are thin wrappers over these.
+(``python -m repro.experiments <name> [--quick]``) is a thin wrapper over
+these and the only producer of the tables in ``results/``.
 """
 
 from .config import PaperSetup

@@ -111,8 +111,8 @@ def format_dynamic_study(results: dict) -> str:
     return series + "\n\n" + bill
 
 
-#: Epochs of the ``--quick`` table; ``benchmarks/bench_extensions.py``
-#: times the same run and writes the same ``results/dynamic.txt``.
+#: Epochs of the ``--quick`` table, ``results/dynamic.txt``, which CI's
+#: quick-table loop regenerates and pins byte for byte.
 QUICK_EPOCHS = 6
 
 

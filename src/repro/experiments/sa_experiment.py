@@ -269,8 +269,8 @@ def format_sa_tables(results: dict, sensitivity: list[dict]) -> str:
     return format_sa_report(results) + "\n\n" + format_weight_sensitivity(sensitivity)
 
 
-#: Annealing budgets of the ``--quick`` tables; ``benchmarks/bench_sa.py``
-#: times the same run and writes the same ``results/sa.txt``.
+#: Annealing budgets of the ``--quick`` tables, ``results/sa.txt``, which
+#: CI's quick-table loop regenerates and pins byte for byte.
 QUICK_SA = {"num_chains": 2, "steps_per_level": 120, "max_levels": 50}
 QUICK_SENSITIVITY = {"steps_per_level": 80, "max_levels": 40}
 

@@ -42,6 +42,16 @@ __all__ = ["ServingConfig", "parse_drift", "REPLAN_MODES"]
 REPLAN_MODES = ("drift", "always", "never")
 
 
+_DRIFT_GRAMMAR = "none, rankswap:K, release:K or lognormal:SIGMA"
+
+#: Drift kind -> (process, type of its number, number when omitted).
+_DRIFT_KINDS = {
+    "rankswap": (RankSwapDrift, int, 1),
+    "release": (ReleaseChurnDrift, int, 1),
+    "lognormal": (LognormalDrift, float, 0.1),
+}
+
+
 def parse_drift(text: str | None) -> PopularityDrift | None:
     """Parse a compact drift spec: ``none``, ``rankswap:K``,
     ``release:K`` or ``lognormal:SIGMA``."""
@@ -51,16 +61,18 @@ def parse_drift(text: str | None) -> PopularityDrift | None:
     kind, _, value = text.partition(":")
     if kind in ("", "none"):
         return None
-    if kind == "rankswap":
-        return RankSwapDrift(int(value or 1))
-    if kind == "release":
-        return ReleaseChurnDrift(int(value or 1))
-    if kind == "lognormal":
-        return LognormalDrift(float(value or 0.1))
-    raise ValueError(
-        f"unknown drift spec {text!r}; use none, rankswap:K, release:K "
-        "or lognormal:SIGMA"
-    )
+    if kind not in _DRIFT_KINDS:
+        raise ValueError(f"unknown drift spec {text!r}; use {_DRIFT_GRAMMAR}")
+    drift, number, default = _DRIFT_KINDS[kind]
+    try:
+        parsed = number(value) if value else default
+    except ValueError:
+        expected = "an integer" if number is int else "a number"
+        raise ValueError(
+            f"bad drift spec {text!r}: {value!r} is not {expected}; "
+            f"use {_DRIFT_GRAMMAR}"
+        ) from None
+    return drift(parsed)
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,7 @@ class TestScalableBitRateProblem:
         sa = ScalableBitRateProblem(make_problem())
         state = sa.initial_state(rng)
         upgraded = np.where(state > 0, 3.0, 0.0)
+        assert np.isfinite(sa.cost(state))
         assert sa.cost(upgraded) < sa.cost(state)
 
     def test_cost_rewards_replicas(self, rng):

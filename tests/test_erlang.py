@@ -159,7 +159,7 @@ class TestSimulatorAgreement:
         horizon = 600.0
         [trace] = generator.generate_runs(horizon, 1, 1234)
         result = simulator.run(trace, horizon_min=horizon)
-        assert result.num_requests == 1323
+        assert result.num_requests == trace.num_requests == 1323
         assert result.num_rejected == 285
         assert result.rejection_rate == pytest.approx(
             285 / 1323, rel=1e-12

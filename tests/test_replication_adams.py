@@ -89,11 +89,13 @@ class TestFigure1Walkthrough:
 class TestOptimality:
     """Theorem 1: Adams minimizes max_i p_i / r_i."""
 
+    # M = 200 with the paper's six degrees: the paper-scale points of E4.
+    @pytest.mark.parametrize("m", [50, 200])
     @pytest.mark.parametrize("theta", [0.271, 0.5, 0.75, 1.0])
-    @pytest.mark.parametrize("budget_factor", [1.0, 1.2, 1.6, 2.0])
-    def test_matches_oracle_on_zipf(self, theta, budget_factor):
-        probs = zipf_probabilities(50, theta)
-        budget = int(50 * budget_factor)
+    @pytest.mark.parametrize("budget_factor", [1.0, 1.2, 1.4, 1.6, 1.8, 2.0])
+    def test_matches_oracle_on_zipf(self, m, theta, budget_factor):
+        probs = zipf_probabilities(m, theta)
+        budget = round(m * budget_factor)
         result = adams_replication(probs, 8, budget)
         optimal = optimal_min_max_weight(probs, 8, budget)
         assert result.max_weight() == pytest.approx(optimal, rel=1e-12)

@@ -149,6 +149,13 @@ class TestParseDrift:
         with pytest.raises(ValueError, match="drift spec"):
             parse_drift("brownian:1")
 
+    @pytest.mark.parametrize("spec", ["rankswap:x", "lognormal:abc", "release:2.5"])
+    def test_bad_number_names_spec_and_grammar(self, spec):
+        with pytest.raises(ValueError, match="drift spec") as error:
+            parse_drift(spec)
+        assert repr(spec) in str(error.value)
+        assert "none, rankswap:K, release:K or lognormal:SIGMA" in str(error.value)
+
 
 # ----------------------------------------------------------------------
 # Workload: diurnal trapezoid + flash crowds, per-epoch determinism
