@@ -333,6 +333,23 @@ class ReplicaLayout:
         return index
 
     @cached_property
+    def holder_digest(self) -> str:
+        """SHA-256 hex digest of the layout's shape and :attr:`holder_index`.
+
+        The content key of the layout: a dense layout and its holder-built
+        twin derive the same index, so they digest equal, and a layout
+        born from holder lists is digested without building its
+        :attr:`rate_matrix`.  The shape fixes every array's length, so
+        the concatenated bytes parse one way only.
+        """
+        import hashlib  # not at module level: keeps ``import repro`` lean
+
+        digest = hashlib.sha256(np.array(self._shape, dtype=np.int64).tobytes())
+        for array in self.holder_index:
+            digest.update(array.tobytes())
+        return digest.hexdigest()
+
+    @cached_property
     def holder_lists(self) -> tuple[tuple[int, ...], ...]:
         """Per-video holder tuples of plain ``int`` (from the index).
 

@@ -35,6 +35,7 @@ from ..cluster_sim.metrics import SimulationResult
 __all__ = [
     "ResultCache",
     "canonical",
+    "canonical_key",
     "content_key",
     "code_version",
     "default_cache_dir",
@@ -112,10 +113,15 @@ def canonical(obj):
     return {"__pickle__": hashlib.sha256(blob).hexdigest()}
 
 
+def canonical_key(form) -> str:
+    """SHA-256 hex key of an already-canonical structure's JSON form."""
+    text = json.dumps(form, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def content_key(obj) -> str:
     """SHA-256 hex key of an object's canonical JSON form."""
-    text = json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return canonical_key(canonical(obj))
 
 
 def default_cache_dir() -> Path:

@@ -308,3 +308,46 @@ def test_cache_scale_theta_allocates_no_dense_matrix():
         tracemalloc.stop()
     assert batch.num_layouts == 4 and batch.diagnostics.converged
     assert peak < dense_bytes, f"peak {peak} B >= one dense matrix {dense_bytes} B"
+
+
+class TestHolderDigest:
+    def test_keying_leaves_the_matrix_unbuilt(self):
+        from repro.experiments.config import PaperSetup
+        from repro.runtime.trial import make_trials
+
+        setup = PaperSetup().quick()
+        layout = _holder_born("slf", 3)
+        (trial,) = make_trials(
+            setup, layout, theta=0.75, degree=1.2,
+            arrival_rate_per_min=30.0, seed=7, num_runs=1,
+        )
+        assert "rate_matrix" not in vars(layout)
+        assert vars(layout)["holder_digest"] == layout.holder_digest
+        twin = ReplicaLayout(rate_matrix=layout.rate_matrix)
+        (twin_trial,) = make_trials(
+            setup, twin, theta=0.75, degree=1.2,
+            arrival_rate_per_min=30.0, seed=7, num_runs=1,
+        )
+        assert twin_trial.simulator_key == trial.simulator_key
+        assert twin_trial.config_key == trial.config_key
+
+    def test_digest_binds_shape_servers_and_rates(self):
+        base = ReplicaLayout.from_assignment([[0, 1], [1]], 2)
+        same = ReplicaLayout(rate_matrix=[[4.0, 4.0], [0.0, 4.0]])
+        variants = [
+            ReplicaLayout.from_assignment([[0, 1], [1]], 3),  # idle server
+            ReplicaLayout.from_assignment([[0, 1], [0]], 2),
+            ReplicaLayout.from_assignment([[0, 1], [1]], 2, bit_rate_mbps=3.0),
+            ReplicaLayout.from_assignment([[0, 1], [1], []], 2),
+        ]
+        assert same.holder_digest == base.holder_digest
+        digests = {v.holder_digest for v in variants}
+        assert len(digests) == len(variants)
+        assert base.holder_digest not in digests
+
+    def test_digest_survives_pickling(self):
+        layout = ReplicaLayout.from_assignment([[1, 0], [], [1]], 2)
+        fresh = pickle.loads(pickle.dumps(layout))  # digest not yet built
+        digest = layout.holder_digest
+        assert fresh.holder_digest == digest
+        assert pickle.loads(pickle.dumps(layout)).holder_digest == digest

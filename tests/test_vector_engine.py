@@ -296,6 +296,152 @@ class TestGridRows:
         assert result.server_peak_load_mbps[2] == 9 * 4.0
 
 
+def _spy_sandwich(monkeypatch):
+    """Count the grid replays that enter the admission sandwich."""
+    from repro.cluster_sim import vector
+
+    calls = []
+    sandwich = vector._sandwich
+
+    def _counted(*args):
+        calls.append(1)
+        return sandwich(*args)
+
+    monkeypatch.setattr(vector, "_sandwich", _counted)
+    return calls
+
+
+def _random_exit_case(rng):
+    """A small system weighted toward the admit-all exit's edges.
+
+    Bandwidths are whole multiples of one replica rate (a server can fill
+    to exactly its capacity), half the layouts mix per-replica rates
+    (float residue in the occupancy folds), and zero-hold streams,
+    stream limits and a cut horizon each appear in about half the cases.
+    """
+    from repro.model import ReplicaLayout
+
+    num_servers = int(rng.integers(1, 5))
+    num_videos = int(rng.integers(2, 10))
+    mixed = rng.random() < 0.5
+    holders = [
+        np.sort(rng.choice(num_servers, int(rng.integers(1, num_servers + 1)),
+                           replace=False))
+        for _ in range(num_videos)
+    ]
+    indices = np.concatenate(holders)
+    rates = (
+        rng.choice([0.1, 0.3, 0.7, 1.1, 2.9], indices.size)
+        if mixed else np.full(indices.size, 4.0)
+    )
+    layout = ReplicaLayout.from_holders(
+        np.cumsum([0] + [h.size for h in holders]), indices, rates,
+        num_servers=num_servers,
+    )
+    unit = float(rng.choice(rates))
+    bandwidths = (unit * rng.integers(2, 13, num_servers)).tolist()
+
+    def watch(rng, count):
+        kind = rng.integers(0, 3, count)
+        return np.choose(kind, [1e-18, rng.uniform(0.5, 5.0, count), 1e3])
+
+    trace = _poisson_trace(
+        num_videos,
+        float(rng.uniform(0.05, 1.2)),
+        40.0,
+        seed=int(rng.integers(1 << 30)),
+        watch=watch if rng.random() < 0.5 else None,
+    )
+    limits = (
+        rng.integers(1, 12, num_servers).tolist() if rng.random() < 0.5 else None
+    )
+    horizon = 25.0 if rng.random() < 0.5 else None
+    return layout, trace, bandwidths, horizon, limits
+
+
+class TestAdmitAllExit:
+    """A grid on which every arrival fits when all are admitted returns
+    straight after the admit-all fold; everything else takes the
+    sandwich.  Both must equal the reference loop."""
+
+    def test_random_cases_match_reference(self, monkeypatch):
+        calls = _spy_sandwich(monkeypatch)
+        rng = np.random.default_rng(np.random.SeedSequence(0xE817))
+        exits = 0
+        for index in range(80):
+            layout, trace, bandwidths, horizon, limits = _random_exit_case(rng)
+            if index % 2:
+                # Every server's capacity is exactly its admit-all peak.
+                bandwidths = np.maximum(
+                    _grid_lockstep(
+                        layout, trace, bandwidths=[1e9] * len(bandwidths),
+                        horizon_min=horizon, stream_limits=limits,
+                    ).server_peak_load_mbps,
+                    0.1,
+                ).tolist()
+            before = len(calls)
+            _grid_lockstep(
+                layout, trace, bandwidths=bandwidths, horizon_min=horizon,
+                stream_limits=limits,
+            )
+            exits += len(calls) == before
+        # Both paths are exercised.
+        assert 20 <= exits <= 60
+
+    def test_server_filled_to_exact_capacity_exits(self, monkeypatch):
+        from repro.model import ReplicaLayout
+        from repro.workload import RequestTrace
+
+        calls = _spy_sandwich(monkeypatch)
+        layout = ReplicaLayout.from_assignment([[0], [0], [0]], 1)
+        fill = RequestTrace([1.0, 2.0, 3.0], [0, 1, 2])
+        result = _grid_lockstep(layout, fill, bandwidths=[12.0])
+        assert calls == [] and result.num_rejected == 0
+        assert result.server_peak_load_mbps[0] == 12.0
+        over = RequestTrace([1.0, 2.0, 3.0, 4.0], [0, 1, 2, 0])
+        result = _grid_lockstep(layout, over, bandwidths=[12.0])
+        assert calls == [1] and result.num_rejected == 1
+
+    def test_stream_limit_overflow_takes_the_sandwich(self, monkeypatch):
+        from repro.model import ReplicaLayout
+        from repro.workload import RequestTrace
+
+        calls = _spy_sandwich(monkeypatch)
+        layout = ReplicaLayout.from_assignment([[0], [0]], 1)
+        trace = RequestTrace([1.0, 2.0, 3.0], [0, 1, 0])
+        result = _grid_lockstep(
+            layout, trace, bandwidths=[100.0], stream_limits=[3]
+        )
+        assert calls == [] and result.num_rejected == 0
+        result = _grid_lockstep(
+            layout, trace, bandwidths=[100.0], stream_limits=[2]
+        )
+        assert calls == [1] and result.num_rejected == 1
+
+    def test_no_overflow_never_enters_the_sandwich(self, monkeypatch):
+        # With a zero round budget the sandwich would send every row to
+        # the scalar fallback; an unsaturated run must not reach it.
+        from repro.cluster_sim import vector
+
+        monkeypatch.setattr(vector, "_MAX_ROUNDS", 0)
+        calls = _spy_sandwich(monkeypatch)
+        optimized, _, trace, run_kwargs = build_des(_params(rate_per_min=6.0))
+        expected = optimized.run(trace, **run_kwargs)
+        assert expected.num_rejected == 0
+        result = _vector_twin(optimized).run(trace, **run_kwargs)
+        assert expected.same_outcome(result)
+        assert calls == [] and result.fallback_servers == 0
+
+        optimized, _, trace, run_kwargs = build_des(
+            _params(rate_per_min=60.0, bandwidth_mbps=120.0)
+        )
+        expected = optimized.run(trace, **run_kwargs)
+        result = _vector_twin(optimized).run(trace, **run_kwargs)
+        assert expected.same_outcome(result)
+        assert calls == [1]
+        assert result.fallback_servers == optimized._cluster.num_servers
+
+
 class TestRandomizedLockstep:
     """Scenarios from the fuzzer's own DES generator (fixed stream)."""
 

@@ -14,6 +14,17 @@ from repro.workload import (
     load_trace,
     save_trace,
 )
+from repro.workload.requests import occurrence_ranks
+
+
+def _counter_ranks(videos):
+    """Per-video occurrence ranks from a plain counter."""
+    seen = {}
+    ranks = []
+    for video in videos.tolist():
+        ranks.append(seen.get(video, 0))
+        seen[video] = ranks[-1] + 1
+    return ranks
 
 
 class TestRequest:
@@ -81,6 +92,44 @@ class TestRequestTrace:
         trace = RequestTrace(np.array([0.0]), np.array([1]))
         with pytest.raises(ValueError):
             trace.arrival_min[0] = 5.0
+
+
+class TestVideoRanks:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_match_a_plain_counter(self, seed):
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 400))
+        videos = rng.zipf(1.6, count) % int(rng.integers(1, 300))
+        trace = RequestTrace(np.sort(rng.uniform(0, 90, count)), videos)
+        assert trace.video_ranks.tolist() == _counter_ranks(videos)
+        assert trace.video_ranks.dtype == np.min_scalar_type(count)
+
+    def test_narrowest_dtype_read_only_and_cached(self):
+        trace = RequestTrace(np.zeros(300), np.zeros(300, dtype=np.int64))
+        ranks = trace.video_ranks
+        assert ranks is trace.video_ranks
+        assert ranks.dtype == np.uint16 and ranks[-1] == 299
+        with pytest.raises(ValueError):
+            ranks[0] = 1
+        assert RequestTrace.empty().video_ranks.size == 0
+
+    def test_prefix_stable(self):
+        rng = np.random.default_rng(7)
+        videos = rng.integers(0, 9, 200)
+        full = occurrence_ranks(videos)
+        for cut in (0, 1, 17, 199, 200):
+            assert occurrence_ranks(videos[:cut]).tolist() == full[:cut].tolist()
+
+    def test_dropping_a_video_keeps_the_others_ranks(self):
+        rng = np.random.default_rng(8)
+        videos = rng.integers(0, 6, 300)
+        full = occurrence_ranks(videos)
+        for dropped in range(6):
+            kept = videos != dropped
+            assert (
+                occurrence_ranks(videos[kept]).tolist()
+                == full[kept].tolist()
+            )
 
 
 class TestPoissonArrivals:
