@@ -43,15 +43,14 @@ class SimulationResult:
         Wall-clock time of the simulation run.  Excluded from
         :meth:`same_outcome`: it varies run to run while every semantic
         field is deterministic.
-    batched_servers / fallback_servers / delegated:
-        Which path of the engine ran, not what it simulated, so they are
-        excluded from :meth:`same_outcome` too.  The vector engine's
-        batched path counts the servers it replayed with array operations
-        and those it replayed with its exact scalar fallback; a run it
-        handed to the optimized loop names the reason instead
-        (``"observer"``, ``"auditors"``, ``"failures"``, ``"backbone"`` or
-        ``"dispatcher"``).  Other engines leave all three at their
-        defaults.
+    delegated:
+        Which path of the engine ran, not what it simulated, so it is
+        excluded from :meth:`same_outcome` too.  ``""`` when the vector
+        engine's batched path produced the result; a run it handed to the
+        optimized loop names the reason instead (``"observer"``,
+        ``"auditors"``, ``"failures"``, ``"backbone"``, ``"dispatcher"``
+        or ``"grid"``, a batched replay it could not certify exact).
+        Other engines leave it ``""``.
     """
 
     num_requests: int
@@ -88,8 +87,6 @@ class SimulationResult:
     #: no failures occurred — never None, so equality stays structural).
     server_downtime_min: np.ndarray | None = field(default=None, repr=False)
     wall_time_sec: float = 0.0
-    batched_servers: int = 0
-    fallback_servers: int = 0
     delegated: str = ""
 
     def __post_init__(self) -> None:

@@ -49,9 +49,8 @@ Merge contract (the fixed-order reduction of the ISSUE's bugfix):
   ``mean * count`` over the leaf results in shard-index order;
 * ``wall_time_sec`` is the max over shards (the parallel critical path);
   it is excluded from ``same_outcome`` as always;
-* the engine-path counters ``batched_servers``/``fallback_servers`` sum
-  and ``delegated`` is the first non-empty reason in shard-index order;
-  like the wall time they are engine facts, never compared.
+* ``delegated`` is the first non-empty reason in shard-index order;
+  like the wall time it is an engine fact, never compared.
 
 The merge therefore depends only on the shard *indices*, never on arrival
 order of the results — reproducible across ``--jobs`` values and input
@@ -244,8 +243,6 @@ def merge_results(
         ),
         server_downtime_min=concat("server_downtime_min"),
         wall_time_sec=max(r.wall_time_sec for r in results),
-        batched_servers=sum(r.batched_servers for r in results),
-        fallback_servers=sum(r.fallback_servers for r in results),
         delegated=next((r.delegated for r in results if r.delegated), ""),
     )
 

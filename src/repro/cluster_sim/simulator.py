@@ -24,13 +24,13 @@ Implementation notes (hot path)
 ``run()`` is the per-trial inner loop of every experiment, so it avoids
 numpy scalar boxing entirely: arrival times, video ids, hold times, the
 rate matrix rows and the per-video best rates are converted to plain
-Python lists once per run (or once per simulator for the static tables),
-heap events are bare ``(time, kind, seq, payload)`` tuples compared by
-CPython's C tuple ordering, and the common DEPARTURE case plus the
-admission accounting are inlined instead of dispatching through
-:class:`StreamingServer` methods.  The clarity-first original lives on as
-:class:`~repro.cluster_sim.reference.ReferenceClusterSimulator`; the two
-are bit-identical field for field (see
+Python lists once per run (or, for the static tables, once per simulator
+on its first run), heap events are bare ``(time, kind, seq, payload)``
+tuples compared by CPython's C tuple ordering, and the common DEPARTURE
+case plus the admission accounting are inlined instead of dispatching
+through :class:`StreamingServer` methods.  The clarity-first original
+lives on as :class:`~repro.cluster_sim.reference.ReferenceClusterSimulator`;
+the two are bit-identical field for field (see
 ``tests/test_simulator_equivalence.py``).
 
 The same loop also leaves a :class:`RunRecord` behind — one decision
@@ -56,11 +56,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 
 import numpy as np
 
-from .._validation import check_non_negative, check_positive
+from .._validation import check_int_in_range, check_non_negative, check_positive
 from ..model.cluster import ClusterSpec
 from ..model.layout import ReplicaLayout
 from ..model.video import VideoCollection
@@ -189,13 +190,13 @@ class VoDClusterSimulator:
         if layout.num_servers != cluster.num_servers:
             raise ValueError("layout and cluster disagree on N")
         if stream_limits is not None:
-            stream_limits = [int(x) for x in stream_limits]
+            stream_limits = [
+                check_int_in_range("stream_limits", x, 0) for x in stream_limits
+            ]
             if len(stream_limits) != cluster.num_servers:
                 raise ValueError(
                     "stream_limits must have one entry per server"
                 )
-            if any(x < 0 for x in stream_limits):
-                raise ValueError("stream_limits must be >= 0")
         self._stream_limits = stream_limits
         check_non_negative("backbone_mbps", backbone_mbps)
         redirection_pods = int(redirection_pods)
@@ -226,12 +227,23 @@ class VoDClusterSimulator:
         self._rate_matrix = layout.rate_matrix
         self._best_rates = layout.video_bit_rates
         self._durations = videos.durations_min
-        # Pure-Python lookup tables so the request loop never touches
-        # numpy scalars: row lists of per-server rates and per-video
-        # best-rate/duration floats.
-        self._rate_rows: list[list[float]] = self._rate_matrix.tolist()
-        self._best_rates_list: list[float] = self._best_rates.tolist()
-        self._durations_list: list[float] = self._durations.tolist()
+
+    # Pure-Python lookup tables so the request loop never touches numpy
+    # scalars: row lists of per-server rates and per-video best-rate and
+    # duration floats.  Built on first use and kept for the simulator's
+    # lifetime, so a vector simulator whose runs all batch never builds
+    # them.
+    @cached_property
+    def _rate_rows(self) -> list[list[float]]:
+        return self._rate_matrix.tolist()
+
+    @cached_property
+    def _best_rates_list(self) -> list[float]:
+        return self._best_rates.tolist()
+
+    @cached_property
+    def _durations_list(self) -> list[float]:
+        return self._durations.tolist()
 
     # ------------------------------------------------------------------
     @property

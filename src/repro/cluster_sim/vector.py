@@ -1,10 +1,10 @@
 """Vectorized event-batch DES engine (the ``vector`` lockstep loop).
 
-:class:`VectorClusterSimulator` is the third lockstep engine (after the
-optimized and reference loops): it produces bit-identical
-:class:`~repro.cluster_sim.metrics.SimulationResult` fields on every
-workload, but replaces the per-event Python loop with numpy batch
-operations over the shared :class:`~repro.cluster_sim.soa.RequestSoA`
+:class:`VectorClusterSimulator` is the fourth lockstep engine of the
+registry (after the optimized, reference and audited ones): it produces
+bit-identical :class:`~repro.cluster_sim.metrics.SimulationResult` fields
+on every workload, but replaces the per-event Python loop with numpy
+batch operations over the shared :class:`~repro.cluster_sim.soa.RequestSoA`
 columns.
 
 Why the batching is exact
@@ -49,8 +49,8 @@ timeline can be replayed independently as array operations:
    undecided request always resolves, so the iteration converges —
    typically in one round on unsaturated servers.  A row that makes no
    progress in a round, or is still open after ``_MAX_ROUNDS``
-   productive rounds (sustained saturation), is marked for the scalar
-   fallback and drops out of later rounds.
+   productive rounds (sustained saturation), leaves the grid
+   uncertified.
 4. **Exact replay and verification** — with decisions fixed, each
    server's running occupancy is one row of ``np.cumsum(..., axis=1)``
    over the admitted ±rate deltas in event order.  ``cumsum`` is a
@@ -62,27 +62,25 @@ timeline can be replayed independently as array operations:
    exact).  The replay re-checks every decision against the exact
    occupancies (on the admit-all exit, the exit test itself is that
    check) and that no departure drives a server negative (the scalar
-   loops clamp float residue there).  A row that fails either
-   check — e.g. a mixed-rate layout whose residues would clamp — joins
-   the fallback mask, and only those servers are replayed by
-   :meth:`VectorClusterSimulator._scalar_server`, which mirrors the
-   optimized loop's arithmetic operation for operation.  The engine is
-   exact-or-fallback, never approximately vectorized.
+   loops clamp float residue there).  A grid that fails either check —
+   e.g. a mixed-rate layout whose residues would clamp — is uncertified
+   too.  An uncertified grid hands the whole run to the optimized loop
+   (``delegated == "grid"``); the engine is exact-or-delegated, never
+   approximately vectorized.
 
 Configurations outside the decomposition (dynamic dispatchers couple
 servers through load inspection, chaos mutates replica state, the
 backbone scans every server, observers sample mid-run) delegate to the
-optimized loop, keeping lockstep equivalence trivial there by
-construction; the result's ``delegated`` field names the reason, and
-``batched_servers``/``fallback_servers`` count the two replay kinds on
-the batched path.  ``tests/test_vector_engine.py`` enforces equivalence over
-randomized crossings and the full pinned fuzz corpus.
+optimized loop too, keeping lockstep equivalence trivial there by
+construction; the result's ``delegated`` field names the reason, and is
+``""`` exactly when the batched path produced the result.
+``tests/test_vector_engine.py`` enforces equivalence over randomized
+crossings and the full pinned fuzz corpus.
 """
 
 from __future__ import annotations
 
 import time
-from heapq import heappop, heappush
 from typing import NamedTuple
 
 import numpy as np
@@ -98,9 +96,9 @@ __all__ = ["VectorClusterSimulator"]
 
 _EPS_MBPS = 1e-6
 
-#: Admission-sandwich budget of productive rounds per server; servers
-#: still undecided after it (sustained saturation) take the exact scalar
-#: fallback instead.
+#: Admission-sandwich budget of productive rounds; a grid with a row
+#: still undecided after it (sustained saturation) is uncertified and the
+#: run takes the optimized loop instead.
 _MAX_ROUNDS = 24
 
 
@@ -116,18 +114,17 @@ def _partial_sums(deltas: np.ndarray):
 
 
 def _sandwich(na, g_aidx, g_isarr, g_signed, capeps, fits, g_streams, maxs):
-    """Decide the grid's *na* arrivals; returns ``(status, failed)``.
+    """Decide the grid's *na* arrivals; ``None`` if some row cannot be.
 
-    ``status`` is 0 open, 1 admit, 2 reject per arrival, plus the padding
-    cells' trailing sentinel ("rejected"); ``failed`` marks the rows left
-    to the scalar fallback.  Undecided requests are bracketed between the
-    all-undecided-admitted (high) and all-undecided-rejected (low)
-    occupancy bounds; occupancy is monotone in the admitted set, so
-    passing under high / overflowing under low is definitive.  The
-    earliest undecided request sees coinciding bounds and always
-    resolves.  A row that makes no progress, or is still open after
-    ``_MAX_ROUNDS`` productive rounds (a saturated server), fails and
-    drops out of later rounds.
+    Returns ``status``: 0 open, 1 admit, 2 reject per arrival, plus the
+    padding cells' trailing sentinel ("rejected").  Undecided requests
+    are bracketed between the all-undecided-admitted (high) and
+    all-undecided-rejected (low) occupancy bounds; occupancy is monotone
+    in the admitted set, so passing under high / overflowing under low is
+    definitive.  The earliest undecided request sees coinciding bounds and
+    always resolves.  A row that makes no progress, or is still open
+    after ``_MAX_ROUNDS`` productive rounds (a saturated server), leaves
+    the grid undecided.
 
     Round 1's high bound is the admit-all fold, whose admission checks
     are *fits*; with nothing admitted yet its low bound is zero.
@@ -135,7 +132,6 @@ def _sandwich(na, g_aidx, g_isarr, g_signed, capeps, fits, g_streams, maxs):
     """
     status = np.zeros(na + 1, dtype=np.int8)
     status[na] = 2
-    failed = np.zeros(g_aidx.shape[0], dtype=bool)
     rows = np.arange(g_aidx.shape[0])
     for round_ in range(_MAX_ROUNDS):
         if not rows.size:
@@ -169,36 +165,21 @@ def _sandwich(na, g_aidx, g_isarr, g_signed, capeps, fits, g_streams, maxs):
         status[aidx[newly_adm]] = 1
         status[aidx[newly_rej]] = 2
         decided = newly_adm | newly_rej
-        progressed = decided.any(axis=1)
         pending = (open_ & ~decided).any(axis=1)
-        failed[rows[pending & ~progressed]] = True
-        rows = rows[pending & progressed]
-    failed[rows] = True
-    return status, failed
-
-
-class _ServerOutcome:
-    """One server's scalar replay (admissions plus closed-out metrics)."""
-
-    __slots__ = ("admitted", "peak", "integral", "deps_processed")
-
-    def __init__(self, admitted, peak, integral, deps_processed):
-        self.admitted = admitted
-        self.peak = peak
-        self.integral = integral
-        self.deps_processed = deps_processed
+        if (pending & ~decided.any(axis=1)).any():
+            return None
+        rows = rows[pending]
+    return None if rows.size else status
 
 
 class _GridOutcome(NamedTuple):
-    """The grid replay: per-request admissions, per-server metrics and the
-    servers whose rows must take the scalar fallback instead (their
-    entries in the other fields are meaningless)."""
+    """The grid replay: per-request admissions, per-server metrics and
+    the departures processed."""
 
     admitted: np.ndarray
     peak: np.ndarray
     integral: np.ndarray
-    deps_processed: np.ndarray
-    failed: np.ndarray
+    deps_processed: int
 
 
 class VectorClusterSimulator(VoDClusterSimulator):
@@ -232,15 +213,20 @@ class VectorClusterSimulator(VoDClusterSimulator):
         The batched path engages for the paper's base model — static
         round robin, no failure schedule, no backbone — which is the
         throughput-critical configuration.  Everything else (dynamic
-        dispatchers, chaos, redirection, observation, auditing) runs the
+        dispatchers, chaos, redirection, observation, auditing), and a
+        base-model run whose grid cannot be certified exact, runs the
         optimized event loop, so results are lockstep-identical across
         the whole configuration space either way.  The result records
-        which path ran: ``batched_servers``/``fallback_servers`` on the
-        batched path, the reason from :meth:`_delegation_reason` otherwise.
+        which path ran: ``delegated`` is ``""`` on the batched path and
+        names the reason otherwise (:meth:`_delegation_reason`, or
+        ``"grid"``).
         """
         reason = self._delegation_reason(failures, auditors, observer)
         if not reason:
-            return self._run_batched(trace, horizon_min)
+            result = self._run_batched(trace, horizon_min)
+            if result is not None:
+                return result
+            reason = "grid"
         result, record = self._run(
             trace,
             horizon_min=horizon_min,
@@ -257,7 +243,9 @@ class VectorClusterSimulator(VoDClusterSimulator):
         """Why a run must take the optimized loop; ``""`` when it batches.
 
         The first that applies of ``observer``, ``auditors``,
-        ``failures``, ``backbone`` and ``dispatcher``.
+        ``failures``, ``backbone`` and ``dispatcher``.  A run that batches
+        can still be delegated afterwards, as ``grid``, when its grid is
+        uncertified (see :meth:`_solve_grid`).
         """
         if observer is not None:
             return "observer"
@@ -272,7 +260,8 @@ class VectorClusterSimulator(VoDClusterSimulator):
         return ""
 
     # ------------------------------------------------------------------
-    def _run_batched(self, trace, horizon_min) -> SimulationResult:
+    def _run_batched(self, trace, horizon_min) -> "SimulationResult | None":
+        """The batched path; ``None`` when the grid is uncertified."""
         start_wall = time.perf_counter()
         if horizon_min is None:
             horizon_min = trace.duration_min if trace.num_requests else 1.0
@@ -281,18 +270,12 @@ class VectorClusterSimulator(VoDClusterSimulator):
 
         num_servers = self._cluster.num_servers
         num_videos = self._videos.num_videos
-        bandwidth = self._cluster.bandwidth_mbps
-        limits = self._stream_limits
 
         soa = RequestSoA.from_trace(trace, self._durations, horizon_min)
         n = soa.num_simulated
         times = soa.times[:n].astype(np.float64, copy=False)
         videos = soa.videos[:n]
         holds = soa.holds[:n].astype(np.float64, copy=False)
-
-        per_video_requests = np.bincount(
-            videos, minlength=num_videos
-        ).astype(np.int64, copy=False)
 
         indptr, holders, replica_rates = self._layout.holder_index
         # Every serveable request consumes one round-robin tick and lands
@@ -301,36 +284,27 @@ class VectorClusterSimulator(VoDClusterSimulator):
         serveable = self._serveable_videos[videos]
         vs = videos[serveable]
         ts = times[serveable]
-        ends = ts + holds[serveable]
         if vs.size:
             occ = trace.video_ranks[:n][serveable]
             replica = indptr[vs] + occ % self._replica_counts[vs]
             sid = holders[replica]
-            rates = replica_rates[replica]
-            grid = self._solve_grid(sid, ts, rates, ends, horizon_min)
-            admitted_sub = grid.admitted
-            server_peak = grid.peak
-            server_integral = grid.integral
-            server_deps = grid.deps_processed
-            fallback = np.flatnonzero(grid.failed)
-            for k in fallback.tolist():
-                sel = np.flatnonzero(sid == k)
-                outcome = self._scalar_server(
-                    ts[sel], rates[sel], ends[sel], float(bandwidth[k]),
-                    limits[k] if limits is not None else None, horizon_min,
-                )
-                admitted_sub[sel] = outcome.admitted
-                server_peak[k] = outcome.peak
-                server_integral[k] = outcome.integral
-                server_deps[k] = outcome.deps_processed
-            fallback_servers = int(fallback.size)
-            deps_processed = int(server_deps.sum())
+            grid = self._solve_grid(
+                sid, ts, replica_rates[replica], ts + holds[serveable],
+                horizon_min,
+            )
+            if grid is None:
+                return None
+            admitted_sub, server_peak, server_integral, deps_processed = grid
         else:
             sid = np.zeros(0, dtype=np.int64)
             admitted_sub = np.zeros(0, dtype=bool)
             server_peak = np.zeros(num_servers)
             server_integral = np.zeros(num_servers)
-            fallback_servers = deps_processed = 0
+            deps_processed = 0
+
+        per_video_requests = np.bincount(
+            videos, minlength=num_videos
+        ).astype(np.int64, copy=False)
         server_served = np.bincount(
             sid[admitted_sub], minlength=num_servers
         ).astype(np.int64, copy=False)
@@ -350,24 +324,25 @@ class VectorClusterSimulator(VoDClusterSimulator):
             server_time_avg_load_mbps=server_integral / horizon_min,
             server_peak_load_mbps=server_peak,
             server_served=server_served,
-            server_bandwidth_mbps=bandwidth,
+            server_bandwidth_mbps=self._cluster.bandwidth_mbps,
             horizon_min=horizon_min,
             num_redirected=0,
             streams_dropped=0,
             num_truncated=soa.num_truncated,
             num_events=int(n) + deps_processed,
             wall_time_sec=time.perf_counter() - start_wall,
-            batched_servers=num_servers - fallback_servers,
-            fallback_servers=fallback_servers,
         )
 
     # ------------------------------------------------------------------
-    def _solve_grid(self, sid, ts, rates, ends, horizon) -> _GridOutcome:
+    def _solve_grid(self, sid, ts, rates, ends, horizon) -> "_GridOutcome | None":
         """Replay every server at once, one grid row per server.
 
         *sid*, *ts*, *rates* and *ends* describe the dispatched requests
         in arrival order: server, arrival time, replica rate (``> 0``,
-        like every replica rate of a layout) and departure time.
+        like every replica rate of a layout) and departure time.  Returns
+        ``None`` when the replay cannot be certified exact: the sandwich
+        leaves a row undecided, a decision disagrees with the exact
+        occupancies, or an admitted departure drives a row negative.
         """
         num_servers = self._cluster.num_servers
         na = sid.size
@@ -431,31 +406,35 @@ class VectorClusterSimulator(VoDClusterSimulator):
         if limits is not None:
             fits &= np.cumsum(g_streams, axis=1) - g_streams < maxs
         if (g_isarr & ~fits).any():
-            status, failed = _sandwich(
+            status = _sandwich(
                 na, g_aidx, g_isarr, g_signed, capeps, fits, g_streams, maxs
             )
+            if status is None:
+                return None
             # Exact replay over the decided set: admitted events carry
             # their deltas and everything else adds +0.0, an IEEE
             # identity.  Every arrival is re-checked against the exact
             # occupancy sequence (the sandwich used bounds, and float
-            # non-associativity can flip an on-the-boundary call); a
-            # mismatch marks the row for the scalar fallback.
+            # non-associativity can flip an on-the-boundary call).
             adm = status[g_aidx] == 1
             before, run = _partial_sums(np.where(adm, g_signed, 0.0))
             fits = before + g_signed <= capeps
             if limits is not None:
                 st_delta = np.where(adm, g_streams, 0)
                 fits &= np.cumsum(st_delta, axis=1) - st_delta < maxs
-            failed |= (g_isarr & (fits != adm)).any(axis=1)
+            if (g_isarr & (fits != adm)).any():
+                return None
             admitted = status[:na] == 1
+            deps_processed = int(np.count_nonzero(adm & ~g_isarr))
         else:
             adm = g_real
             admitted = np.ones(na, dtype=bool)
-            failed = np.zeros(num_servers, dtype=bool)
-        # A departure driving a row negative (the scalar loops clamp
-        # float residue there) marks the row for the scalar fallback.
-        adm_dep = adm & ~g_isarr
-        failed |= (adm_dep & (run < 0.0)).any(axis=1)
+            deps_processed = int(dep.size)
+        # The scalar loops clamp float residue where a departure drives a
+        # server negative.  A row's first negative cell is always such a
+        # departure (every other cell adds a positive rate or +0.0).
+        if (run < 0.0).any():
+            return None
 
         # Metrics, with the scalar loops' exact arithmetic: the load
         # integral is the left fold of ``used * dt`` over touch times
@@ -473,76 +452,4 @@ class VectorClusterSimulator(VoDClusterSimulator):
             + run[:, -1] * (horizon - last[:, -1])
         )
         peak = np.where(adm & g_isarr, run, 0.0).max(axis=1)
-        return _GridOutcome(
-            admitted,
-            peak,
-            integral,
-            np.count_nonzero(adm_dep, axis=1),
-            failed,
-        )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _scalar_server(at, ar, ae, cap, maxs, horizon):
-        """Exact per-server scalar replay (the optimized loop's ops)."""
-        eps = _EPS_MBPS
-        na = at.size
-        at_l = at.tolist()
-        ar_l = ar.tolist()
-        ae_l = ae.tolist()
-        admitted = np.zeros(na, dtype=bool)
-        used = 0.0
-        streams = 0
-        peak = 0.0
-        integral = 0.0
-        last = 0.0
-        deps = 0
-        heap: list = []
-        for i in range(na):
-            t = at_l[i]
-            while heap and heap[0][0] <= t:
-                etime, _, rate = heappop(heap)
-                deps += 1
-                if etime > last:
-                    integral += used * (etime - last)
-                    last = etime
-                used -= rate
-                if used < 0.0:
-                    if used < -eps:
-                        raise RuntimeError(
-                            "server bandwidth accounting went negative"
-                        )
-                    used = 0.0
-                streams -= 1
-            rate = ar_l[i]
-            if rate > 0.0 and used + rate <= cap + eps and (
-                maxs is None or streams < maxs
-            ):
-                if t > last:
-                    integral += used * (t - last)
-                    last = t
-                used += rate
-                streams += 1
-                if used > peak:
-                    peak = used
-                admitted[i] = True
-                end = ae_l[i]
-                if end <= horizon:
-                    heappush(heap, (end, i, rate))
-        while heap and heap[0][0] <= horizon:
-            etime, _, rate = heappop(heap)
-            deps += 1
-            if etime > last:
-                integral += used * (etime - last)
-                last = etime
-            used -= rate
-            if used < 0.0:
-                if used < -eps:
-                    raise RuntimeError(
-                        "server bandwidth accounting went negative"
-                    )
-                used = 0.0
-            streams -= 1
-        if horizon > last:
-            integral += used * (horizon - last)
-        return _ServerOutcome(admitted, peak, integral, deps)
+        return _GridOutcome(admitted, peak, integral, deps_processed)

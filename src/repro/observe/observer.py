@@ -293,8 +293,6 @@ class Observer:
             events=result.num_events,
             rejection_rate=result.rejection_rate,
             wall_sec=result.wall_time_sec,
-            batched_servers=result.batched_servers,
-            fallback_servers=result.fallback_servers,
             delegated=result.delegated,
         )
 

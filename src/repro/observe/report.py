@@ -60,7 +60,7 @@ def render_trace_report(events: list[dict], *, charts: bool = False) -> str:
     series: dict[str, dict] = {}
     metrics: dict | None = None
     meta: dict | None = None
-    sim_runs = batched = fallbacks = 0
+    sim_runs = 0
     delegations: dict[str, int] = {}
     for event in events:
         kind = event.get("kind", "?")
@@ -73,8 +73,6 @@ def render_trace_report(events: list[dict], *, charts: bool = False) -> str:
             series[event.get("name", f"series{len(series)}")] = event
         elif kind == "sim.run":
             sim_runs += 1
-            batched += int(event.get("batched_servers", 0))
-            fallbacks += int(event.get("fallback_servers", 0))
             reason = event.get("delegated", "")
             if reason:
                 delegations[reason] = delegations.get(reason, 0) + 1
@@ -131,8 +129,6 @@ def render_trace_report(events: list[dict], *, charts: bool = False) -> str:
     if sim_runs:
         lines.append("")
         lines.append(f"engine path ({sim_runs:,} simulated runs):")
-        lines.append(f"  batched servers   {batched:>10,}")
-        lines.append(f"  scalar fallbacks  {fallbacks:>10,}")
         lines.append(
             "  delegated runs    "
             + (

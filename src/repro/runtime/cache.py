@@ -138,9 +138,9 @@ def default_cache_dir() -> Path:
 _SCHEMA_VERSION = 2
 
 #: SimulationResult fields persisted per entry, in schema order.  The
-#: engine-path facts (``batched_servers``, ``fallback_servers``,
-#: ``delegated``) describe the run that produced an entry, not its
-#: outcome, so they are not persisted and a hit reads them as defaults.
+#: engine-path fact ``delegated`` describes the run that produced an
+#: entry, not its outcome, so it is not persisted and a hit reads it as
+#: the default.
 _SCALAR_FIELDS = (
     ("num_requests", int),
     ("num_rejected", int),

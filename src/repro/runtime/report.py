@@ -62,12 +62,9 @@ class RunReport:
         Availability accounting summed over every trial result (cache hits
         included — chaos outcomes are semantic, not engine cost).  All zero
         on failure-free runs, in which case the report omits the line.
-    num_batched_servers / num_fallback_servers / delegations:
-        Engine-path facts summed over the simulated trials (see
-        :class:`~repro.cluster_sim.metrics.SimulationResult`): servers the
-        vector engine replayed with array operations, servers it replayed
-        with its scalar fallback, and runs it handed to the optimized
-        loop, counted per reason.
+    delegations:
+        Simulated trials the vector engine handed to the optimized loop,
+        counted per reason (``SimulationResult.delegated``).
     phase_seconds:
         Wall time folded in per named phase via :meth:`record_phase`
         (the :func:`repro.observe.timed` profiling hook).
@@ -95,8 +92,6 @@ class RunReport:
     num_streams_dropped: int = 0
     #: Sum of crash-to-repair minutes over all recoveries (for the mean).
     ttr_sum_min: float = 0.0
-    num_batched_servers: int = 0
-    num_fallback_servers: int = 0
     delegations: dict = field(default_factory=dict)
     phase_seconds: dict = field(default_factory=dict, repr=False)
     batches: int = field(default=0, repr=False)
@@ -116,7 +111,6 @@ class RunReport:
         self.num_lost_to_failure = self.num_rereplicated = 0
         self.num_streams_dropped = 0
         self.ttr_sum_min = 0.0
-        self.num_batched_servers = self.num_fallback_servers = 0
         self.delegations = {}
         self.phase_seconds = {}
 
@@ -146,8 +140,6 @@ class RunReport:
         self.num_simulated += 1
         self.num_events += result.num_events
         self.sim_time_sec += result.wall_time_sec
-        self.num_batched_servers += result.batched_servers
-        self.num_fallback_servers += result.fallback_servers
         if result.delegated:
             self.delegations[result.delegated] = (
                 self.delegations.get(result.delegated, 0) + 1
@@ -267,19 +259,11 @@ class RunReport:
                 f"failover {self.num_failovers}/{self.num_retries} retries  "
                 f"{self.num_rereplicated} re-replicated"
             )
-        if (
-            self.num_batched_servers
-            or self.num_fallback_servers
-            or self.delegations
-        ):
+        if self.delegations:
             delegated = ", ".join(
                 f"{reason} {runs}" for reason, runs in self.delegations.items()
             )
-            lines.append(
-                f"  engine {self.num_batched_servers:,} servers batched  "
-                f"{self.num_fallback_servers:,} scalar fallbacks  "
-                f"delegated runs: {delegated or 'none'}"
-            )
+            lines.append(f"  engine delegated runs: {delegated}")
         if self.phase_seconds:
             rendered = "  ".join(
                 f"{phase} {seconds:.2f}s"

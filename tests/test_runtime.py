@@ -225,22 +225,30 @@ class TestRunReport:
     def test_engine_path_counters(self, small_setup):
         report = RunReport()
         with ParallelRunner(jobs=1, report=report) as runner, use_runner(runner):
-            simulate_combo(small_setup, PAPER_COMBOS[0], 0.75, 1.2, 10.0)
+            batched = simulate_combo(small_setup, PAPER_COMBOS[0], 0.75, 1.2, 10.0)
             simulate_combo(
                 small_setup, PAPER_COMBOS[0], 0.75, 1.2, 10.0,
                 dispatcher="least_loaded",
             )
-        num_servers = small_setup.num_servers
-        assert (
-            report.num_batched_servers + report.num_fallback_servers
-            == 3 * num_servers
-        )
+        assert [r.delegated for r in batched] == [""] * 3
         assert report.delegations == {"dispatcher": 3}
         assert "delegated runs: dispatcher 3" in report.format()
         report.reset()
-        assert report.num_batched_servers == report.num_fallback_servers == 0
         assert report.delegations == {}
         assert "engine" not in report.format()
+
+    def test_uncertified_grid_counts_as_delegation(self, small_setup, monkeypatch):
+        from repro.cluster_sim import VectorClusterSimulator
+
+        monkeypatch.setattr(
+            VectorClusterSimulator, "_solve_grid", lambda self, *args: None
+        )
+        report = RunReport()
+        with ParallelRunner(jobs=1, report=report) as runner, use_runner(runner):
+            results = simulate_combo(small_setup, PAPER_COMBOS[0], 0.75, 1.2, 10.0)
+        assert [r.delegated for r in results] == ["grid"] * 3
+        assert report.delegations == {"grid": 3}
+        assert "engine delegated runs: grid 3" in report.format()
 
     def test_record_annealing_counters(self):
         class FakeResult:

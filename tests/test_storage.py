@@ -143,8 +143,20 @@ class TestSimulatorStreamLimits:
         layout = ReplicaLayout.from_assignment([[0]], 2)
         with pytest.raises(ValueError, match="one entry per server"):
             VoDClusterSimulator(cluster, videos, layout, stream_limits=[2])
-        with pytest.raises(ValueError, match=">= 0"):
+        with pytest.raises(ValueError, match=r"stream_limits must be in \[0, inf\)"):
             VoDClusterSimulator(cluster, videos, layout, stream_limits=[-1, 2])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [2.7, True, "3", float("inf"), float("nan")],
+        ids=["fractional", "bool", "str", "inf", "nan"],
+    )
+    def test_non_integer_limits_rejected(self, bad):
+        cluster = ClusterSpec.homogeneous(2, storage_gb=100.0, bandwidth_mbps=100.0)
+        videos = VideoCollection.homogeneous(1)
+        layout = ReplicaLayout.from_assignment([[0]], 2)
+        with pytest.raises(ValueError, match="stream_limits must be an integer"):
+            VoDClusterSimulator(cluster, videos, layout, stream_limits=[bad, 1])
 
     def test_server_max_streams(self):
         server = StreamingServer(0, 100.0, max_streams=1)

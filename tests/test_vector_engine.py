@@ -183,8 +183,13 @@ class TestFeatureCrossings:
 
 
 def _grid_lockstep(layout, trace, *, bandwidths, horizon_min=None,
-                   stream_limits=None):
-    """Run one system on all three engines; return the vector result."""
+                   stream_limits=None, delegated=""):
+    """Run one system on all three engines; return the vector result.
+
+    *delegated* is the vector run's expected engine path: ``""`` (the
+    batched path), ``"grid"`` (an uncertified grid), or ``None`` for
+    either.
+    """
     from repro import ClusterSpec, VideoCollection
     from repro.model.cluster import ServerSpec
 
@@ -198,11 +203,10 @@ def _grid_lockstep(layout, trace, *, bandwidths, horizon_min=None,
     vec_result = VectorClusterSimulator(*args, **kwargs).run(trace, **run)
     for engine in (VoDClusterSimulator, ReferenceClusterSimulator):
         assert engine(*args, **kwargs).run(trace, **run).same_outcome(vec_result)
-    assert vec_result.delegated == ""
-    assert (
-        vec_result.batched_servers + vec_result.fallback_servers
-        == cluster.num_servers
-    )
+    if delegated is None:
+        assert vec_result.delegated in ("", "grid")
+    else:
+        assert vec_result.delegated == delegated
     return vec_result
 
 
@@ -219,9 +223,10 @@ def _poisson_trace(num_videos, rate_per_min, duration_min, seed, watch=None):
 class TestGridRows:
     """Each server is one grid row; rows must not leak into each other."""
 
-    def test_one_row_falls_back_rest_batched(self, monkeypatch):
+    def test_one_saturated_row_delegates_the_run(self, monkeypatch):
         # One starved server saturates and needs a second sandwich round;
-        # with a one-round budget only its row takes the scalar fallback.
+        # with a one-round budget its row stays open, so the whole run
+        # takes the optimized loop.
         from repro.cluster_sim import vector
         from repro.model import ReplicaLayout
 
@@ -230,12 +235,14 @@ class TestGridRows:
             [[v % 4] for v in range(16)], 4
         )
         trace = _poisson_trace(16, 8.0, 40.0, seed=5)
+        bandwidths = [400.0, 400.0, 24.0, 400.0]
         result = _grid_lockstep(
-            layout, trace, bandwidths=[400.0, 400.0, 24.0, 400.0]
+            layout, trace, bandwidths=bandwidths, delegated="grid"
         )
-        assert result.fallback_servers == 1
-        assert result.batched_servers == 3
         assert result.server_served[2] < result.per_video_requests[2::4].sum()
+        # The default budget decides the same grid on the batched path.
+        monkeypatch.setattr(vector, "_MAX_ROUNDS", 24)
+        _grid_lockstep(layout, trace, bandwidths=bandwidths)
 
     def test_skewed_rows_with_an_empty_server(self):
         # Server 0 holds every video, server 1 a few, server 3 none: the
@@ -249,7 +256,6 @@ class TestGridRows:
         result = _grid_lockstep(
             layout, trace, bandwidths=[200.0, 120.0, 120.0, 120.0]
         )
-        assert result.fallback_servers == 0
         assert result.server_served[3] == result.server_served[2] == 0
         assert result.server_served[0] > 2 * result.server_served[1] > 0
         assert result.num_rejected > 0
@@ -273,7 +279,6 @@ class TestGridRows:
         result = _grid_lockstep(
             layout, trace, bandwidths=[60.0] * 3, horizon_min=30.0
         )
-        assert result.fallback_servers == 0
         assert 0 < result.num_events - result.num_requests
         assert result.num_truncated > 0
 
@@ -290,7 +295,6 @@ class TestGridRows:
             bandwidths=[1000.0] * 4,
             stream_limits=[0, 3, 9, 40],
         )
-        assert result.fallback_servers == 0
         assert result.server_served[0] == 0
         assert result.server_peak_load_mbps[1] == 3 * 4.0
         assert result.server_peak_load_mbps[2] == 9 * 4.0
@@ -376,13 +380,14 @@ class TestAdmitAllExit:
                     _grid_lockstep(
                         layout, trace, bandwidths=[1e9] * len(bandwidths),
                         horizon_min=horizon, stream_limits=limits,
+                        delegated=None,
                     ).server_peak_load_mbps,
                     0.1,
                 ).tolist()
             before = len(calls)
             _grid_lockstep(
                 layout, trace, bandwidths=bandwidths, horizon_min=horizon,
-                stream_limits=limits,
+                stream_limits=limits, delegated=None,
             )
             exits += len(calls) == before
         # Both paths are exercised.
@@ -419,8 +424,8 @@ class TestAdmitAllExit:
         assert calls == [1] and result.num_rejected == 1
 
     def test_no_overflow_never_enters_the_sandwich(self, monkeypatch):
-        # With a zero round budget the sandwich would send every row to
-        # the scalar fallback; an unsaturated run must not reach it.
+        # With a zero round budget the sandwich would delegate every run
+        # to the optimized loop; an unsaturated run must not reach it.
         from repro.cluster_sim import vector
 
         monkeypatch.setattr(vector, "_MAX_ROUNDS", 0)
@@ -430,16 +435,74 @@ class TestAdmitAllExit:
         assert expected.num_rejected == 0
         result = _vector_twin(optimized).run(trace, **run_kwargs)
         assert expected.same_outcome(result)
-        assert calls == [] and result.fallback_servers == 0
+        assert calls == [] and result.delegated == ""
 
-        optimized, _, trace, run_kwargs = build_des(
+        optimized, reference, trace, run_kwargs = build_des(
             _params(rate_per_min=60.0, bandwidth_mbps=120.0)
         )
-        expected = optimized.run(trace, **run_kwargs)
         result = _vector_twin(optimized).run(trace, **run_kwargs)
-        assert expected.same_outcome(result)
-        assert calls == [1]
-        assert result.fallback_servers == optimized._cluster.num_servers
+        assert optimized.run(trace, **run_kwargs).same_outcome(result)
+        assert reference.run(trace, **run_kwargs).same_outcome(result)
+        assert calls == [1] and result.delegated == "grid"
+
+
+class TestUncertifiedGrid:
+    """A grid the engine cannot certify exact hands the whole run to the
+    optimized loop (``delegated == "grid"``), with the same outcome."""
+
+    @staticmethod
+    def _residue_system():
+        # 0.7 + 0.1 - 0.7 - 0.1 folds to -1.4e-16, which the scalar loops
+        # clamp to zero at the second departure (t = 32 < horizon).
+        from repro.model import ReplicaLayout
+
+        return ReplicaLayout.from_holders(
+            [0, 1, 2], [0, 0], [0.7, 0.1], num_servers=1
+        )
+
+    def test_negative_departure_on_the_admit_all_exit(self, monkeypatch):
+        from repro.workload import RequestTrace
+
+        calls = _spy_sandwich(monkeypatch)
+        trace = RequestTrace([1.0, 2.0], [0, 1])
+        result = _grid_lockstep(
+            self._residue_system(), trace, bandwidths=[10.0],
+            horizon_min=40.0, delegated="grid",
+        )
+        assert calls == [] and result.num_rejected == 0
+
+    def test_negative_departure_after_the_sandwich(self, monkeypatch):
+        from repro.workload import RequestTrace
+
+        calls = _spy_sandwich(monkeypatch)
+        trace = RequestTrace([1.0, 2.0, 3.0], [0, 1, 0])
+        result = _grid_lockstep(
+            self._residue_system(), trace, bandwidths=[0.8],
+            horizon_min=40.0, delegated="grid",
+        )
+        assert calls == [1] and result.num_rejected == 1
+
+    def test_recheck_catches_a_wrong_decision(self, monkeypatch):
+        # A sandwich that rejects an arrival the exact replay admits is
+        # caught by the re-check, never published.
+        from repro.cluster_sim import vector
+        from repro.model import ReplicaLayout
+        from repro.workload import RequestTrace
+
+        sandwich = vector._sandwich
+
+        def _first_admission_flipped(na, *args):
+            status = sandwich(na, *args)
+            status[np.argmax(status[:na] == 1)] = 2
+            return status
+
+        monkeypatch.setattr(vector, "_sandwich", _first_admission_flipped)
+        layout = ReplicaLayout.from_assignment([[0], [0]], 1)
+        trace = RequestTrace([1.0, 2.0, 3.0], [0, 1, 0])
+        result = _grid_lockstep(
+            layout, trace, bandwidths=[8.0], delegated="grid"
+        )
+        assert result.num_rejected == 1
 
 
 class TestRandomizedLockstep:
@@ -642,16 +705,13 @@ class TestDefaultEngine:
         )
         plain = solve(config)
         observed = solve(config, observer=Observer(ObserverConfig()))
-        num_servers = small_setup.num_servers
         assert len(plain.results) == len(observed.results) == 2
         for batched, delegated in zip(plain.results, observed.results):
             assert batched.same_outcome(delegated)
             assert batched.delegated == ""
-            assert batched.batched_servers == num_servers
             assert delegated.delegated == "observer"
-            assert delegated.batched_servers == delegated.fallback_servers == 0
-        assert plain.report.num_batched_servers == 2 * num_servers
         assert plain.report.delegations == {}
+        assert "engine" not in plain.report.format()
         assert observed.report.delegations == {"observer": 2}
         assert "delegated runs: observer 2" in observed.report.format()
 
@@ -667,7 +727,6 @@ class TestDefaultEngine:
         optimized, _, trace, run_kwargs = build_des(_params(**overrides))
         result = _vector_twin(optimized).run(trace, **run_kwargs)
         assert result.delegated == reason
-        assert result.batched_servers == result.fallback_servers == 0
         assert optimized.run(trace, **run_kwargs).delegated == ""
 
     def test_auditors_delegation_reason(self):
@@ -679,24 +738,17 @@ class TestDefaultEngine:
         )
         assert result.delegated == "auditors"
 
-    def test_scalar_fallback_counted(self, monkeypatch):
-        optimized, _, trace, run_kwargs = build_des(
+    def test_uncertified_grid_delegates(self, monkeypatch):
+        optimized, reference, trace, run_kwargs = build_des(
             _params(rate_per_min=60.0, bandwidth_mbps=120.0)
         )
-        expected = optimized.run(trace, **run_kwargs)
-        solve_grid = VectorClusterSimulator._solve_grid
-
-        def _every_row_fails(self, *args):
-            grid = solve_grid(self, *args)
-            return grid._replace(failed=np.ones_like(grid.failed))
-
         monkeypatch.setattr(
-            VectorClusterSimulator, "_solve_grid", _every_row_fails
+            VectorClusterSimulator, "_solve_grid", lambda self, *args: None
         )
         result = _vector_twin(optimized).run(trace, **run_kwargs)
-        assert expected.same_outcome(result)
-        assert result.fallback_servers == optimized._cluster.num_servers
-        assert result.batched_servers == 0
+        assert result.delegated == "grid"
+        assert optimized.run(trace, **run_kwargs).same_outcome(result)
+        assert reference.run(trace, **run_kwargs).same_outcome(result)
 
     def test_round_budget_counts_productive_rounds(self, monkeypatch):
         # An unsaturated server resolves in one sandwich round, so a
@@ -709,20 +761,19 @@ class TestDefaultEngine:
         assert expected.num_rejected == 0
         result = _vector_twin(optimized).run(trace, **run_kwargs)
         assert expected.same_outcome(result)
-        assert result.fallback_servers == 0
-        assert result.batched_servers == optimized._cluster.num_servers
+        assert result.delegated == ""
 
-    def test_merge_sums_engine_path(self):
+    def test_merge_keeps_first_delegation_reason(self):
         from dataclasses import replace
 
         from repro.cluster_sim.sharding import merge_results
 
         optimized, _, trace, run_kwargs = build_des(_params())
         batched = _vector_twin(optimized).run(trace, **run_kwargs)
-        delegated = replace(
-            optimized.run(trace, **run_kwargs), delegated="failures"
-        )
-        merged = merge_results([batched, delegated, batched])
-        assert merged.batched_servers == 2 * batched.batched_servers
-        assert merged.fallback_servers == 0
-        assert merged.delegated == "failures"
+        assert batched.delegated == ""
+        unbatched = optimized.run(trace, **run_kwargs)
+        grid = replace(unbatched, delegated="grid")
+        failures = replace(unbatched, delegated="failures")
+        assert merge_results([batched, grid, failures]).delegated == "grid"
+        assert merge_results([failures, batched, grid]).delegated == "failures"
+        assert merge_results([batched, batched]).delegated == ""
