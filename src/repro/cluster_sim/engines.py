@@ -8,14 +8,15 @@ fields; they differ only in *how* the event loop executes:
     Numpy event-batch execution over the SoA columns
     (:class:`~repro.cluster_sim.vector.VectorClusterSimulator`) — the
     default everywhere (:data:`DEFAULT_ENGINE`).  It batches the paper's
-    base model exactly and delegates to ``optimized`` elsewhere,
-    recording why on the result.
+    base model exactly, observed or not, and delegates to ``optimized``
+    elsewhere, recording why on the result.
 ``optimized``
     The tuple-heap event loop (:class:`VoDClusterSimulator`) behind every
     configuration the vector engine does not batch.
 ``reference``
     The readable method-per-event loop (:class:`ReferenceClusterSimulator`)
-    retained as the differential-testing oracle.
+    retained as the differential-testing oracle; it leaves no run record,
+    so it takes no observer.
 ``audited``
     The optimized loop with the standard invariant auditors armed: they
     check the run record the loop leaves behind and raise

@@ -47,9 +47,9 @@ class SimulationResult:
         Which path of the engine ran, not what it simulated, so it is
         excluded from :meth:`same_outcome` too.  ``""`` when the vector
         engine's batched path produced the result; a run it handed to the
-        optimized loop names the reason instead (``"observer"``,
-        ``"auditors"``, ``"failures"``, ``"backbone"``, ``"dispatcher"``
-        or ``"grid"``, a batched replay it could not certify exact).
+        optimized loop names the reason instead (``"auditors"``,
+        ``"failures"``, ``"backbone"``, ``"dispatcher"`` or ``"grid"``, a
+        batched replay it could not certify exact).
         Other engines leave it ``""``.
     """
 

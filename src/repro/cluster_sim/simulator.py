@@ -35,9 +35,10 @@ the two are bit-identical field for field (see
 
 The same loop also leaves a :class:`RunRecord` behind — one decision
 code per admitted arrival plus the rare-path crash/repair/delayed-start
-records — from which :mod:`repro.verify.audit` rebuilds and checks every
-shadow account after the run, so auditing never needs a second copy of the
-loop.
+and late-rejection records — from which :mod:`repro.verify.audit`
+rebuilds and checks every shadow account and :mod:`.observation` folds
+an observer's timelines after the run, so neither needs a second copy of
+the loop.
 
 Wide striping (:mod:`.striping`) and batched multicast (:mod:`.batching`)
 run this loop unchanged, on a pooled one-server cluster and on a trace of
@@ -70,6 +71,7 @@ from .dispatch import Dispatcher, StaticRoundRobinDispatcher, failover_order
 from .events import EventKind
 from .failures import FailoverPolicy, FailureSchedule, RereplicationPolicy
 from .metrics import SimulationResult
+from .observation import StreamTable, observe_run
 from .redirection import BackboneLink
 from .server import StreamingServer
 from .soa import RequestSoA
@@ -91,18 +93,22 @@ _INF = float("inf")
 
 @dataclass(slots=True)
 class RunRecord:
-    """What one kernel run leaves behind for post-hoc consumers (the audit).
+    """What one kernel run leaves behind for post-hoc consumers (the
+    audit and the observation fold).
 
     ``decisions`` has one slot per simulated arrival, written only on
     admission: ``1 + k`` when server ``k`` served it from its own replica,
     ``1 + N + k`` when it was redirected to server ``k`` over the
     backbone; 0 means rejected, handed to a failover retry or queued.  The
     rare paths append ``(time, server, occupied Mb/s before the crash)``
-    per crash, ``(time, server)`` per repair and ``(arrival index, time,
-    server)`` per delayed admission: a failover retry or a wait-queue
-    start.  ``last_event_time`` is a clock
-    watermark read outside the per-arrival path: the time of the last
-    event the closing drain applied, else of the last simulated arrival.
+    per crash, ``(time, server)`` per repair, ``(arrival index, time,
+    server)`` per delayed admission (a failover retry or a wait-queue
+    start) and ``(arrival index, time)`` per late rejection: an exhausted
+    retry budget, a queue defection, or a waiter still queued at the
+    horizon (time ``inf``: rejected after the run's last instant).
+    ``last_event_time`` is a clock watermark read outside the per-arrival
+    path: the time of the last event the closing drain applied, else of
+    the last simulated arrival.
     """
 
     soa: RequestSoA
@@ -110,30 +116,71 @@ class RunRecord:
     crash_records: list[tuple[float, int, float]]
     repair_records: list[tuple[float, int]]
     delayed_admissions: list[tuple[int, float, int]]
+    late_rejections: list[tuple[int, float]]
     servers: list[StreamingServer]
     backbones: "list[BackboneLink] | None"
     last_event_time: float
 
-    def admissions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode ``decisions``: arrival index, server and redirected flag
-        of every arrival-time admission, in arrival order.
+    def streams(
+        self, rate_matrix: np.ndarray, best_rates: np.ndarray
+    ) -> StreamTable:
+        """Decode the admitted-stream table, in processing order.
 
-        Server ids come back in the smallest unsigned dtype holding the
-        codes, which keeps a grouping argsort on numpy's radix path.
+        Delivered rates come from the layout (*rate_matrix* for a direct
+        admission, the video's best copy in *best_rates* when
+        redirected), not from the loop's bookkeeping.
         """
         num_servers = len(self.servers)
+        soa = self.soa
         decisions = self.decisions
         dec = np.fromiter(
             decisions, np.min_scalar_type(2 * num_servers), len(decisions)
         )
-        index = np.flatnonzero(dec)
-        codes = dec.take(index)
+        arrival = np.flatnonzero(dec)
+        codes = dec.take(arrival)
         codes -= codes.dtype.type(1)
         redirected = codes >= num_servers
-        servers = np.where(
+        server = np.where(
             redirected, codes - codes.dtype.type(num_servers), codes
         )
-        return index, servers, redirected
+        start = soa.times.take(arrival)
+        delayed = np.zeros(len(arrival), dtype=bool)
+        if self.delayed_admissions:
+            # Delayed starts interleave the arrivals; at one instant they
+            # run with the heap events, before the arrival there.
+            late, late_start, late_server = map(
+                np.array, zip(*self.delayed_admissions)
+            )
+            columns = [
+                np.concatenate(pair)
+                for pair in (
+                    (arrival, late),
+                    (start, late_start),
+                    (server, late_server.astype(server.dtype)),
+                    (redirected, np.zeros(len(late), dtype=bool)),
+                    (delayed, np.ones(len(late), dtype=bool)),
+                )
+            ]
+            order = np.lexsort((~columns[-1], columns[1]))
+            arrival, start, server, redirected, delayed = (
+                column[order] for column in columns
+            )
+        end = start + soa.holds.take(arrival)
+        video = soa.videos.take(arrival)
+        rate = np.where(redirected, best_rates[video], rate_matrix[video, server])
+        dropped = np.zeros(len(arrival), dtype=bool)
+        # A stream on a crashing server that started by the crash and
+        # ends after it is dropped then (crashes in time order).
+        for time_min, server_id, _ in sorted(self.crash_records):
+            hit = (
+                (server == server_id) & (start <= time_min) & (end > time_min)
+                & ~dropped
+            )
+            end[hit] = time_min
+            dropped |= hit
+        return StreamTable(
+            arrival, start, end, server, rate, redirected, delayed, dropped
+        )
 
 
 class VoDClusterSimulator:
@@ -303,29 +350,36 @@ class VoDClusterSimulator:
             loop) and any violation raises
             :class:`repro.verify.InvariantViolation`.
         observer:
-            Optional :class:`repro.observe.Observer` (duck-typed).  When
-            set, per-server load/stream timelines are sampled every
-            ``observer.sample_interval_min`` simulated minutes (the event
-            heap is drained to each sample instant first, so snapshots are
-            exact) and, with event tracing enabled, every N-th
-            arrival/departure is recorded.  The returned result is
-            bit-identical to an unobserved run; with ``observer=None`` the
-            hot loop's only additions are two constant-false comparisons
-            per arrival.  Honoured with or without auditors.
+            Optional :class:`repro.observe.Observer` (duck-typed: it is
+            read for its ``config`` and handed the run through
+            ``record_simulation``).  Its per-server load/stream timelines
+            and sampled arrival/departure events are folded from the run
+            record after the loop (:mod:`.observation`), so the run itself
+            is the unobserved one.  Honoured with or without auditors.
         """
-        result, record = self._run(
-            trace,
-            horizon_min=horizon_min,
-            failures=failures,
-            failover_on_down=failover_on_down,
-            failover=failover,
-            rereplication=rereplication,
-            observer=observer,
+        return self._finish(
+            *self._run(
+                trace,
+                horizon_min=horizon_min,
+                failures=failures,
+                failover_on_down=failover_on_down,
+                failover=failover,
+                rereplication=rereplication,
+            ),
+            auditors,
+            observer,
         )
-        return self._audit(result, record, auditors)
 
-    def _audit(self, result: SimulationResult, record: "RunRecord", auditors):
-        """Check *record* with *auditors* (if any); return *result*."""
+    def _finish(
+        self, result: SimulationResult, record: "RunRecord", auditors, observer
+    ) -> SimulationResult:
+        """Observe and audit a kernel run (either optional); return *result*."""
+        if observer is not None:
+            table = record.streams(self._rate_matrix, self._best_rates)
+            admitted = np.asarray(record.decisions, dtype=bool)
+            bandwidth = self._cluster.bandwidth_mbps.tolist()
+            late = record.late_rejections
+            observe_run(observer, result, table, record.soa, admitted, late, bandwidth)
         if auditors:
             # Lazy import: cluster_sim must stay importable without the
             # verify package (and vice versa).
@@ -343,7 +397,6 @@ class VoDClusterSimulator:
         failover_on_down: bool = False,
         failover: FailoverPolicy | None = None,
         rereplication: RereplicationPolicy | None = None,
-        observer=None,
         delegated: str = "",
         patience_min: float = 0.0,
     ) -> "tuple[SimulationResult, RunRecord]":
@@ -403,6 +456,7 @@ class VoDClusterSimulator:
         crash_records: list = []
         repair_records: list = []
         delayed_admissions: list = []
+        late_rejections: list = []
         # Wait queue: (deadline, arrival index, video) in arrival order.
         waiting: list = []
 
@@ -532,6 +586,7 @@ class VoDClusterSimulator:
                 # Retry budget (or horizon) exhausted: a timeout is a
                 # rejection.
                 per_video_rejected[video] += 1
+                late_rejections.append((index, tr))
                 if failure_touched(video):
                     num_lost_to_failure += 1
             else:  # _REPLICATE
@@ -573,6 +628,7 @@ class VoDClusterSimulator:
                 deadline, index, video = entry
                 if deadline < now:
                     per_video_rejected[video] += 1  # defected
+                    late_rejections.append((index, now))
                     continue
                 started = start_delayed(index, video, now, seq)
                 if started == seq:
@@ -603,103 +659,11 @@ class VoDClusterSimulator:
         candidates_of = dispatcher.candidates
         eps = _EPS_MBPS
 
-        # Observation locals.  With observer=None (the default) both hot
-        # guards degenerate to constant-false comparisons: ``t >=
-        # next_sample`` with next_sample=inf and ``if trace_every`` with
-        # trace_every=0.
-        next_sample = _INF
-        trace_every = 0
-        if observer is not None:
-            interval = float(observer.sample_interval_min)
-            if interval > 0.0:
-                next_sample = interval
-            trace_every = int(observer.trace_event_every)
-            samples: list = []
-            traced: list = []
-            trace_arr_down = trace_dep_down = trace_every
-
-            def _drain_events(limit: float) -> None:
-                """Apply heap events at or before *limit* (sampling path).
-
-                Semantics match the inlined drain of the arrival loop, so a
-                sample snapshot is exact at its instant and the global
-                event order is unchanged: events <= limit <= t are applied
-                either way before the next arrival is admitted.  The
-                departure branch mirrors the hot loop's inlined release —
-                with periodic sampling most departures flow through here,
-                so a method-call release would dominate the metrics-on
-                overhead budget.
-                """
-                nonlocal seq, events_processed, trace_dep_down
-                while heap and heap[0][0] <= limit:
-                    event = heappop(heap)
-                    events_processed += 1
-                    if event[1] == _DEPARTURE:
-                        dep_server, dep_rate, dep_redirected, dep_epoch = event[3]
-                        server = servers[dep_server]
-                        if server.epoch != dep_epoch:
-                            continue
-                        etime = event[0]
-                        last = server._last_time_min
-                        if etime > last:
-                            server._load_integral += server.used_mbps * (
-                                etime - last
-                            )
-                            server._last_time_min = etime
-                        used = server.used_mbps - dep_rate
-                        if used < 0.0:
-                            if used < -eps:
-                                raise RuntimeError(
-                                    f"server {dep_server} bandwidth "
-                                    "accounting went negative"
-                                )
-                            used = 0.0
-                        server.used_mbps = used
-                        server.active_streams -= 1
-                        if dep_redirected:
-                            backbones[dep_server // servers_per_pod].release(
-                                dep_rate
-                            )
-                            backbone_by_server[dep_server] -= dep_rate
-                        if trace_every:
-                            trace_dep_down -= 1
-                            if not trace_dep_down:
-                                trace_dep_down = trace_every
-                                traced.append(("departure", etime, dep_server))
-                        if waiting:
-                            seq = serve_waiters(etime, seq)
-                    else:
-                        seq = handle_rare(event, seq)
-
-            def _record_sample(at: float, arrivals_done: int) -> None:
-                samples.append(
-                    (
-                        at,
-                        [s.used_mbps for s in servers],
-                        [s.active_streams for s in servers],
-                        arrivals_done,
-                        sum(per_video_rejected),
-                        sum(b.redirected_streams for b in backbones)
-                        if backbones is not None
-                        else 0,
-                        sum(b.used_mbps for b in backbones)
-                        if backbones is not None
-                        else 0.0,
-                    )
-                )
-
         # Arrivals past the horizon were pre-truncated by the SoA cut (an
         # arrival at exactly ``horizon_min`` is still simulated), so the
         # loop carries no per-arrival horizon branch.
         for index in range(num_simulated):
             t = times_list[index]
-            if t >= next_sample:
-                # Observation sampling (never taken when disabled): drain
-                # events up to each boundary, snapshot, advance.
-                while next_sample <= t:
-                    _drain_events(next_sample)
-                    _record_sample(next_sample, index)
-                    next_sample += interval
             video = videos_list[index]
 
             # Apply departures/failures/recoveries at or before t.  The
@@ -731,11 +695,6 @@ class VoDClusterSimulator:
                     if redirected:
                         backbones[server_id // servers_per_pod].release(rate)
                         backbone_by_server[server_id] -= rate
-                    if trace_every:
-                        trace_dep_down -= 1
-                        if not trace_dep_down:
-                            trace_dep_down = trace_every
-                            traced.append(("departure", etime, server_id))
                     if waiting:
                         seq = serve_waiters(etime, seq)
                 else:
@@ -746,11 +705,6 @@ class VoDClusterSimulator:
             if best_rates[video] <= 0.0:
                 # Video has no replica anywhere: nothing can serve it.
                 per_video_rejected[video] += 1
-                if trace_every:
-                    trace_arr_down -= 1
-                    if not trace_arr_down:
-                        trace_arr_down = trace_every
-                        traced.append(("arrival", t, video, False))
                 continue
             end_time = t + hold_list[index]
 
@@ -884,18 +838,6 @@ class VoDClusterSimulator:
                     per_video_rejected[video] += 1
                     if chaos and failure_touched(video):
                         num_lost_to_failure += 1
-            if trace_every:
-                trace_arr_down -= 1
-                if not trace_arr_down:
-                    trace_arr_down = trace_every
-                    traced.append(("arrival", t, video, admitted))
-
-        # Close out the observation timeline up to the horizon (sampling
-        # drains preserve event order; the loop below sees the remainder).
-        while next_sample <= horizon_min:
-            _drain_events(next_sample)
-            _record_sample(next_sample, num_simulated)
-            next_sample += interval
 
         # Apply remaining events inside the horizon, close the integrals.
         last_event = times_list[-1] if num_simulated else 0.0
@@ -912,18 +854,14 @@ class VoDClusterSimulator:
                 if redirected:
                     backbones[server_id // servers_per_pod].release(rate)
                     backbone_by_server[server_id] -= rate
-                if trace_every:
-                    trace_dep_down -= 1
-                    if not trace_dep_down:
-                        trace_dep_down = trace_every
-                        traced.append(("departure", event[0], server_id))
                 if waiting:
                     seq = serve_waiters(event[0], seq)
             else:
                 seq = handle_rare(event, seq)
         # Waiters still queued at the horizon count as rejected.
-        for _, _, video in waiting:
+        for _, index, video in waiting:
             per_video_rejected[video] += 1
+            late_rejections.append((index, _INF))
         for server in servers:
             server.advance(horizon_min)
         # Servers still down at the horizon accrue downtime to its edge.
@@ -963,19 +901,13 @@ class VoDClusterSimulator:
             wall_time_sec=time.perf_counter() - start_wall,
             delegated=delegated,
         )
-        if observer is not None:
-            observer.record_simulation(
-                samples=samples,
-                traced_events=traced,
-                result=result,
-                server_bandwidth_mbps=self._cluster.bandwidth_mbps.tolist(),
-            )
         record = RunRecord(
             soa,
             decisions,
             crash_records,
             repair_records,
             delayed_admissions,
+            late_rejections,
             servers,
             backbones,
             last_event,

@@ -70,10 +70,12 @@ timeline can be replayed independently as array operations:
 
 Configurations outside the decomposition (dynamic dispatchers couple
 servers through load inspection, chaos mutates replica state, the
-backbone scans every server, observers sample mid-run) delegate to the
-optimized loop too, keeping lockstep equivalence trivial there by
-construction; the result's ``delegated`` field names the reason, and is
-``""`` exactly when the batched path produced the result.
+backbone scans every server) delegate to the optimized loop too, keeping
+lockstep equivalence trivial there by construction; the result's
+``delegated`` field names the reason, and is ``""`` exactly when the
+batched path produced the result.  An observer does not delegate: it is
+folded after the run from the certified grid's admitted streams
+(:mod:`.observation`), the table the optimized loop's record decodes to.
 ``tests/test_vector_engine.py`` enforces equivalence over randomized
 crossings and the full pinned fuzz corpus.
 """
@@ -89,6 +91,7 @@ from .._validation import check_positive
 from ..workload.requests import narrow_sort_key
 from .dispatch import StaticRoundRobinDispatcher
 from .metrics import SimulationResult
+from .observation import StreamTable, observe_run
 from .simulator import VoDClusterSimulator
 from .soa import RequestSoA
 
@@ -212,8 +215,9 @@ class VectorClusterSimulator(VoDClusterSimulator):
 
         The batched path engages for the paper's base model — static
         round robin, no failure schedule, no backbone — which is the
-        throughput-critical configuration.  Everything else (dynamic
-        dispatchers, chaos, redirection, observation, auditing), and a
+        throughput-critical configuration, observed or not: an observer
+        is folded from the certified grid's stream table.  Everything
+        else (dynamic dispatchers, chaos, redirection, auditing), and a
         base-model run whose grid cannot be certified exact, runs the
         optimized event loop, so results are lockstep-identical across
         the whole configuration space either way.  The result records
@@ -221,9 +225,9 @@ class VectorClusterSimulator(VoDClusterSimulator):
         names the reason otherwise (:meth:`_delegation_reason`, or
         ``"grid"``).
         """
-        reason = self._delegation_reason(failures, auditors, observer)
+        reason = self._delegation_reason(failures, auditors)
         if not reason:
-            result = self._run_batched(trace, horizon_min)
+            result = self._run_batched(trace, horizon_min, observer)
             if result is not None:
                 return result
             reason = "grid"
@@ -234,21 +238,18 @@ class VectorClusterSimulator(VoDClusterSimulator):
             failover_on_down=failover_on_down,
             failover=failover,
             rereplication=rereplication,
-            observer=observer,
             delegated=reason,
         )
-        return self._audit(result, record, auditors)
+        return self._finish(result, record, auditors, observer)
 
-    def _delegation_reason(self, failures, auditors, observer) -> str:
+    def _delegation_reason(self, failures, auditors) -> str:
         """Why a run must take the optimized loop; ``""`` when it batches.
 
-        The first that applies of ``observer``, ``auditors``,
-        ``failures``, ``backbone`` and ``dispatcher``.  A run that batches
-        can still be delegated afterwards, as ``grid``, when its grid is
-        uncertified (see :meth:`_solve_grid`).
+        The first that applies of ``auditors``, ``failures``,
+        ``backbone`` and ``dispatcher``.  A run that batches can still be
+        delegated afterwards, as ``grid``, when its grid is uncertified
+        (see :meth:`_solve_grid`).
         """
-        if observer is not None:
-            return "observer"
         if auditors:
             return "auditors"
         if failures is not None and len(failures) > 0:
@@ -260,7 +261,9 @@ class VectorClusterSimulator(VoDClusterSimulator):
         return ""
 
     # ------------------------------------------------------------------
-    def _run_batched(self, trace, horizon_min) -> "SimulationResult | None":
+    def _run_batched(
+        self, trace, horizon_min, observer
+    ) -> "SimulationResult | None":
         """The batched path; ``None`` when the grid is uncertified."""
         start_wall = time.perf_counter()
         if horizon_min is None:
@@ -288,15 +291,14 @@ class VectorClusterSimulator(VoDClusterSimulator):
             occ = trace.video_ranks[:n][serveable]
             replica = indptr[vs] + occ % self._replica_counts[vs]
             sid = holders[replica]
-            grid = self._solve_grid(
-                sid, ts, replica_rates[replica], ts + holds[serveable],
-                horizon_min,
-            )
+            rates = replica_rates[replica]
+            ends = ts + holds[serveable]
+            grid = self._solve_grid(sid, ts, rates, ends, horizon_min)
             if grid is None:
                 return None
             admitted_sub, server_peak, server_integral, deps_processed = grid
         else:
-            sid = np.zeros(0, dtype=np.int64)
+            sid = ends = rates = np.zeros(0, dtype=np.int64)
             admitted_sub = np.zeros(0, dtype=bool)
             server_peak = np.zeros(num_servers)
             server_integral = np.zeros(num_servers)
@@ -316,7 +318,7 @@ class VectorClusterSimulator(VoDClusterSimulator):
             videos[rejected], minlength=num_videos
         ).astype(np.int64, copy=False)
 
-        return SimulationResult(
+        result = SimulationResult(
             num_requests=int(n),
             num_rejected=int(rejected.sum()),
             per_video_requests=per_video_requests,
@@ -332,6 +334,15 @@ class VectorClusterSimulator(VoDClusterSimulator):
             num_events=int(n) + deps_processed,
             wall_time_sec=time.perf_counter() - start_wall,
         )
+        if observer is not None:
+            # The grid's admitted streams, in arrival order: the table the
+            # optimized loop's record would decode to.
+            picked = (serveable_idx, ts, ends, sid, rates)
+            none = np.zeros(np.count_nonzero(admitted_sub), dtype=bool)
+            table = StreamTable(*(a[admitted_sub] for a in picked), *[none] * 3)
+            bandwidth = self._cluster.bandwidth_mbps.tolist()
+            observe_run(observer, result, table, soa, ~rejected, (), bandwidth)
+        return result
 
     # ------------------------------------------------------------------
     def _solve_grid(self, sid, ts, rates, ends, horizon) -> "_GridOutcome | None":

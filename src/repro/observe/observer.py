@@ -6,7 +6,8 @@ calls through its optional ``observer=`` parameter:
 
 * ``VoDClusterSimulator.run(..., observer=obs)`` — per-server load/stream
   timelines sampled every ``sample_interval_min`` simulated minutes,
-  sampled arrival/departure trace events, counter/gauge rollups;
+  sampled arrival/departure trace events, counter/gauge rollups, all
+  folded from the finished run (:mod:`repro.cluster_sim.observation`);
 * ``SimulatedAnnealer.run(..., observer=obs)`` — per-temperature-level
   acceptance traces and step counters;
 * ``ServingControlPlane(..., observer=obs)`` — per-epoch serving
@@ -34,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .._validation import check_finite_non_negative
 from .registry import MetricsRegistry
 from .tracer import Tracer
 
@@ -53,8 +55,8 @@ class ObserverConfig:
     Attributes
     ----------
     sample_interval_min:
-        Simulated minutes between utilization-timeline samples; ``0``
-        disables periodic sampling.
+        Simulated minutes between utilization-timeline samples (finite);
+        ``0`` disables periodic sampling.
     trace_events:
         Record sampled simulator arrival/departure events in the tracer.
     trace_event_every:
@@ -63,7 +65,9 @@ class ObserverConfig:
     trace_sa_levels:
         Emit per-level annealing events.
     max_trace_events:
-        Tracer hard cap; events beyond it are counted as dropped.
+        Tracer hard cap; events beyond it are counted as dropped.  It
+        also bounds the samples of one simulated run: an interval that
+        would record more raises ``ValueError`` rather than drop them.
     """
 
     sample_interval_min: float = 1.0
@@ -73,8 +77,9 @@ class ObserverConfig:
     max_trace_events: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.sample_interval_min < 0:
-            raise ValueError("sample_interval_min must be >= 0")
+        check_finite_non_negative(
+            "sample_interval_min", self.sample_interval_min
+        )
         if self.trace_event_every < 1:
             raise ValueError("trace_event_every must be >= 1")
 
@@ -123,18 +128,6 @@ class Observer:
             self._fold_simulation(*payload)
 
     # ------------------------------------------------------------------
-    # Hot-path configuration reads (the simulator hoists these into locals)
-    # ------------------------------------------------------------------
-    @property
-    def sample_interval_min(self) -> float:
-        return self.config.sample_interval_min
-
-    @property
-    def trace_event_every(self) -> int:
-        """0 when event tracing is off, else the keep-every-N stride."""
-        return self.config.trace_event_every if self.config.trace_events else 0
-
-    # ------------------------------------------------------------------
     # Simulator hook
     # ------------------------------------------------------------------
     def record_simulation(
@@ -148,14 +141,13 @@ class Observer:
         """Park one finished simulator run for deferred folding.
 
         ``samples`` rows are ``(t, used_mbps_list, active_streams_list,
-        num_requests, num_rejected, num_redirected, backbone_mbps)``
-        accumulated at sample boundaries; ``traced_events`` are the
-        sampled ``("arrival", t, video, admitted)`` /
-        ``("departure", t, server)`` tuples.  All inputs are per-run
-        snapshots the simulator never touches again, so nothing is copied
-        here — the numpy fold (:meth:`_fold_simulation`) runs on first
-        read of :attr:`registry`/:attr:`tracer`, keeping this call O(1)
-        on the simulator's critical path.
+        num_requests, num_rejected, num_redirected, backbone_mbps)`` at
+        each sample instant; ``traced_events`` are the sampled
+        ``("arrival", t, video, admitted)`` / ``("departure", t, server)``
+        tuples, in processing order.  All inputs are per-run data nothing
+        touches again, so nothing is copied here — the numpy fold
+        (:meth:`_fold_simulation`) runs on first read of
+        :attr:`registry`/:attr:`tracer`.
         """
         self._pending_sims.append(
             (self._sim_runs, samples, traced_events, result, server_bandwidth_mbps)

@@ -25,7 +25,8 @@ Two refinement stages are optional:
 
 Pass ``observer=`` (a :class:`repro.observe.Observer`) to record per-phase
 wall time, per-server utilization timelines, SA level traces and sampled
-simulator events; observed runs are bit-identical to unobserved ones.
+simulator events; observed runs are bit-identical to unobserved ones and
+simulate through the same runner, under any ``jobs``.
 """
 
 from __future__ import annotations
@@ -476,15 +477,18 @@ def solve(
     config:
         The design point and algorithm selection.
     observer:
-        Optional :class:`repro.observe.Observer`.  When set, simulations
-        run serially in-process (an observer cannot cross the worker-pool
-        boundary) with full instrumentation; results are bit-identical to
-        the unobserved pooled path.
+        Optional :class:`repro.observe.Observer`.  It records per-phase
+        wall time and every simulated run: each run is observed where it
+        is simulated, through ``runner`` under any ``jobs``, and its
+        observation is recorded here in trial order.  Observed trials
+        skip the result cache; results are bit-identical to unobserved
+        ones.
     runner:
         Optional :class:`repro.runtime.ParallelRunner` to simulate
-        through; a fresh serial runner is used otherwise.  Ignored for the
-        simulation stage when ``observer`` is set (see above), but still
-        accumulates the run report.
+        through; a fresh serial runner is used otherwise.  Its own
+        ``observer`` (if any) keeps only the runner's batch records:
+        simulated runs always go to *observer*, even when the runner
+        was built around another observer or none.
     layout:
         Optional pre-built :class:`repro.model.layout.ReplicaLayout` to
         simulate directly, skipping the replicate/place/refine design
@@ -497,6 +501,12 @@ def solve(
         raise ValueError(
             "layout= overrides the design stage; it is incompatible with "
             "surrogate=True and anneal=True, which build their own layouts"
+        )
+    if observer is not None and config.engine == "reference":
+        raise ValueError(
+            "observer= requires an engine with observation support; the "
+            "reference oracle loop leaves no run record (use optimized, "
+            "vector or audited)"
         )
     if runner is None:
         runner = ParallelRunner(jobs=1, observer=observer)
@@ -551,49 +561,7 @@ def solve(
             num_shards=config.shards,
             engine=config.engine,
         )
-        if observer is not None:
-            # Serial in-process simulation so the observer sees every run;
-            # same trace regeneration and simulator as the pooled path.
-            from .cluster_sim import (
-                engine_run_kwargs,
-                make_dispatcher_factory,
-                make_simulator,
-            )
-            from .runtime.trial import trial_run_kwargs, trial_trace
-
-            if config.engine == "reference":
-                raise ValueError(
-                    "observer= requires an engine with observation support; "
-                    "the reference oracle loop has none (use optimized, "
-                    "vector or audited)"
-                )
-            simulator = make_simulator(
-                config.engine,
-                setup.cluster(config.replication_degree),
-                setup.videos(),
-                layout,
-                dispatcher_factory=make_dispatcher_factory(config.dispatcher),
-                backbone_mbps=config.backbone_mbps,
-            )
-            import time
-
-            start = time.perf_counter()
-            with timed(sink, "simulate"):
-                results = [
-                    simulator.run(
-                        trial_trace(spec),
-                        horizon_min=spec.resolved_horizon_min(),
-                        observer=observer,
-                        **trial_run_kwargs(spec),
-                        **engine_run_kwargs(config.engine),
-                    )
-                    for spec in trials
-                ]
-            for result in results:
-                report.record_simulated(result)
-            report.record_batch(time.perf_counter() - start)
-        else:
-            results = runner.run_trials(trials)
+        results = runner.run_trials(trials, observer=observer)
 
         if config.shards > 1:
             from .cluster_sim.sharding import merge_results

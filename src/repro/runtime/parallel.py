@@ -32,7 +32,7 @@ from ..observe.profile import timed
 from ..workload.requests import RequestTrace
 from .cache import ResultCache
 from .report import RunReport
-from .trial import TrialSpec, run_trial, trial_cache_key
+from .trial import TrialSpec, observe_trial, run_trial, trial_cache_key
 
 __all__ = [
     "ParallelRunner",
@@ -133,16 +133,25 @@ class ParallelRunner:
 
     # ------------------------------------------------------------------
     def run_trials(
-        self, specs: "Sequence[TrialSpec] | Iterable[TrialSpec]"
+        self,
+        specs: "Sequence[TrialSpec] | Iterable[TrialSpec]",
+        *,
+        observer=None,
     ) -> list[SimulationResult]:
-        """Simulate (or recall) every trial, returning results in order."""
+        """Simulate (or recall) every trial, returning results in order.
+
+        With an *observer* every trial is simulated, bypassing the cache:
+        each worker folds its own run (:func:`~repro.runtime.trial.
+        observe_trial`), recorded in *observer* in spec order with the
+        simulate phase.  The runner's own ``observer`` gets the batch.
+        """
         specs = list(specs)
         start = time.perf_counter()
         results: list[SimulationResult | None] = [None] * len(specs)
 
         misses: list[int] = []
         keys: dict[int, str] = {}
-        if self.cache is not None:
+        if self.cache is not None and observer is None:
             with timed(self.report, "cache_probe"):
                 for index, spec in enumerate(specs):
                     key = trial_cache_key(spec)
@@ -157,12 +166,23 @@ class ParallelRunner:
             misses = list(range(len(specs)))
 
         if misses:
-            with timed(self.report, "simulate"):
-                fresh = self._execute(run_trial, [specs[i] for i in misses])
+            tasks = [specs[i] for i in misses]
+            if observer is None:
+                with timed(self.report, "simulate"):
+                    fresh = self._execute(run_trial, tasks)
+            else:
+                config = observer.config
+                with timed(observer, "simulate"):
+                    fresh = self._execute(
+                        observe_trial, [(spec, config) for spec in tasks]
+                    )
+                for result, payload in fresh:
+                    observer.record_simulation(result=result, **payload)
+                fresh = [result for result, _ in fresh]
             for index, result in zip(misses, fresh):
                 results[index] = result
                 self.report.record_simulated(result)
-                if self.cache is not None:
+                if keys:
                     self.cache.put(keys[index], result)
 
         wall_sec = time.perf_counter() - start

@@ -57,6 +57,7 @@ from .cache import canonical, canonical_key, code_version
 __all__ = [
     "TrialSpec",
     "make_trials",
+    "observe_trial",
     "run_trial",
     "trial_cache_key",
     "trial_run_kwargs",
@@ -365,12 +366,29 @@ def trial_run_kwargs(spec: TrialSpec) -> dict:
     }
 
 
-def run_trial(spec: TrialSpec) -> SimulationResult:
+def run_trial(spec: TrialSpec, observer=None) -> SimulationResult:
     """Simulate one trial (the function a pool worker executes)."""
-    simulator = _simulator_for(spec)
-    return simulator.run(
-        trial_trace(spec),
-        horizon_min=spec.resolved_horizon_min(),
-        **trial_run_kwargs(spec),
-        **engine_run_kwargs(spec.engine),
+    kwargs = {**trial_run_kwargs(spec), **engine_run_kwargs(spec.engine)}
+    if observer is not None:
+        kwargs["observer"] = observer
+    return _simulator_for(spec).run(
+        trial_trace(spec), horizon_min=spec.resolved_horizon_min(), **kwargs
     )
+
+
+class _Capture:
+    """A worker-side observer: keeps one run's observation to ship back."""
+
+    def __init__(self, config) -> None:
+        self.config = config
+
+    def record_simulation(self, *, result, **payload) -> None:
+        self.payload = payload
+
+
+def observe_trial(task: "tuple[TrialSpec, object]") -> tuple:
+    """Simulate one ``(spec, ObserverConfig)`` trial observed; returns
+    ``(result, payload)``, the payload being the rest of the
+    ``Observer.record_simulation`` keywords, folded in the worker."""
+    capture = _Capture(task[1])
+    return run_trial(task[0], observer=capture), capture.payload

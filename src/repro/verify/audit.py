@@ -3,15 +3,15 @@
 :func:`run_audited` runs the optimized kernel
 (:meth:`VoDClusterSimulator._run`) — the very loop behind every plain
 ``run()``, so results are bit-identical by construction — and audits the
-:class:`~repro.cluster_sim.simulator.RunRecord` it leaves behind.  From
-the record's per-arrival decision codes and rare-path
-crash/repair/delayed-start records, plus the request columns, every
-shadow account is *reconstructed* vectorized: admission times, hold
-times and rates (from the layout, not from the loop's bookkeeping), crash
-drops replayed over the admission table, and every server's occupancy
-peak from one grouped prefix-sum scan.  The reconstruction is independent of
-``StreamingServer``'s bookkeeping, which is what lets the auditors catch
-broken release/crash accounting.
+:class:`~repro.cluster_sim.simulator.RunRecord` it leaves behind.  The
+record's admitted-stream table (:meth:`RunRecord.streams`, the table the
+observation fold reads too) carries admission times, hold times and
+rates (from the layout, not from the loop's bookkeeping) with crash
+drops replayed over it; from it every shadow account is *reconstructed*
+vectorized, down to every server's occupancy peak from a left fold over
+its streams in the loop's processing order.  The reconstruction is
+independent of ``StreamingServer``'s bookkeeping, which is what lets the
+auditors catch broken release/crash accounting.
 
 Event-time monotonicity is checked where a past-dated event could be
 *introduced*: out-of-order arrivals and negative holds (vectorized over
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cluster_sim.metrics import SimulationResult
-from ..cluster_sim.redirection import BackboneLink
-from ..cluster_sim.server import StreamingServer
+from ..cluster_sim.observation import processing_order
 from .auditors import InvariantAuditor, Violation, standard_auditors
 
 __all__ = ["Trajectory", "AuditReport", "audit_record", "run_audited"]
@@ -131,73 +130,40 @@ class AuditReport:
         )
 
 
-def _peak_time(
-    starts: np.ndarray, ends: np.ndarray, deltas: np.ndarray
-) -> tuple[float, float]:
-    """Slow-path detailed sweep for one server: (peak, time of peak)."""
-    times = np.concatenate((starts, ends))
-    signed = np.concatenate((deltas, -deltas))
-    order = np.lexsort((signed, times))
-    running = np.cumsum(signed[order])
-    at = int(np.argmax(running))
-    return float(running[at]), float(times[order][at])
-
-
 def _reconstruct(
-    audit: Trajectory,
-    violations: list[Violation],
-    t0: np.ndarray,
-    te: np.ndarray,
-    sid: np.ndarray,
-    rate: np.ndarray,
-    red: np.ndarray,
-    vid: np.ndarray,
-    crash_records: list,
-    servers: list[StreamingServer],
-    backbones: "list[BackboneLink] | None",
-    servers_per_pod: int,
-    enabled: frozenset,
+    audit: Trajectory, violations: list[Violation], table, record, enabled
 ) -> None:
-    """Rebuild every shadow account from the admission/crash tables."""
+    """Rebuild every shadow account from the admitted-stream table."""
+    servers, backbones = record.servers, record.backbones
     num_servers = len(servers)
+    servers_per_pod = num_servers // len(backbones) if backbones else 0
     H = audit.horizon_min
+    t0, eff, sid, rate, red, dropped = (
+        table.start, table.end, table.server, table.rate, table.redirected,
+        table.dropped,
+    )
 
-    # Crash effects: a stream admitted before a crash of its server whose
-    # natural end lies past the crash was dropped at the crash instant.
-    # Processing crashes in time order with an accumulating mask handles
-    # repeated fail/recover cycles without tracking epochs explicitly.
-    if crash_records:
-        eff = te.copy()
-        dropped = np.zeros(len(t0), dtype=bool)
-        for time_min, server_id, used_at_crash in sorted(crash_records):
-            hit = (
-                (sid == server_id) & (t0 <= time_min) & (te > time_min)
-                & ~dropped
-            )
-            if "accounting" in enabled:
-                carried = float(rate[hit].sum())
-                if abs(carried - used_at_crash) > _EPS_MBPS + 1e-9 * carried:
-                    violations.append(
-                        Violation(
-                            "accounting",
-                            time_min,
-                            f"server {server_id} carried {used_at_crash:.9f} "
-                            f"Mb/s at crash but its admitted streams sum to "
-                            f"{carried:.9f}",
-                        )
+    # Crash effects: the table already cuts every dropped stream's end to
+    # its crash instant; what the server carried then must match.
+    if "accounting" in enabled:
+        for time_min, server_id, used_at_crash in sorted(record.crash_records):
+            hit = dropped & (sid == server_id) & (eff == time_min)
+            carried = float(rate[hit].sum())
+            if abs(carried - used_at_crash) > _EPS_MBPS + 1e-9 * carried:
+                violations.append(
+                    Violation(
+                        "accounting",
+                        time_min,
+                        f"server {server_id} carried {used_at_crash:.9f} "
+                        f"Mb/s at crash but its admitted streams sum to "
+                        f"{carried:.9f}",
                     )
-            eff[hit] = time_min
-            dropped |= hit
-        alive_end = ~dropped & (te > H)
-        audit.departed = int((~dropped & (te <= H)).sum())
-        audit.dropped = int(dropped.sum())
-    else:
-        eff = te
-        alive_end = te > H
+                )
+    alive_end = ~dropped & (eff > H)
     audit.admitted = len(t0)
     audit.active_end = int(alive_end.sum())
-    if not crash_records:
-        audit.departed = audit.admitted - audit.active_end
+    audit.departed = int((~dropped & (eff <= H)).sum())
+    audit.dropped = int(dropped.sum())
     audit.redirected = int(red.sum())
     audit.shadow_used = np.bincount(
         sid, weights=rate * alive_end, minlength=num_servers
@@ -232,7 +198,8 @@ def _reconstruct(
                     Violation(
                         "placement",
                         float(t0[index]),
-                        f"video {int(vid[index])} admitted on server "
+                        f"video {int(record.soa.videos[table.arrival[index]])} "
+                        f"admitted on server "
                         f"{int(sid[index])} which holds no replica",
                     )
                 )
@@ -244,127 +211,74 @@ def _reconstruct(
         s.max_streams is not None for s in servers
     )
     check_acct = "accounting" in enabled
-    if (check_bw or check_cap or check_acct) and len(t0):
-        # Reconstruct each server's peak occupancy without a full event
-        # sort.  Occupancy only increases at admissions, so the peak is
-        # attained right after some admission i:
-        #
-        #   occ(i) = sum(rate_j : start_j <= start_i) - sum(rate_j : end_j <= start_i)
-        #
-        # over the streams of i's server (``<=`` on the ends encodes the
-        # simulator's departures-before-arrivals tie rule).  Starts are
-        # already time-sorted (admission order), so grouping by server is
-        # one O(n) stable integer sort; ends are sorted too unless watch
-        # times or crashes perturb them (then one extra argsort).  The
-        # prefix-sum buffers carry a leading zero so group bases are plain
-        # gathers, with no conditional ``np.where`` edge handling.
-        order_s = np.argsort(sid, kind="stable")  # radix: sid is <= 16-bit
-        g_start = t0[order_s]
-        counts = np.bincount(sid, minlength=num_servers)
-        offsets = np.zeros(num_servers + 1, dtype=np.intp)
-        np.cumsum(counts, out=offsets[1:])
-        n_adm = len(t0)
-        cs0 = np.empty(n_adm + 1)
-        cs0[0] = 0.0
-        np.cumsum(rate[order_s], out=cs0[1:])
-        if crash_records or bool((eff[1:] < eff[:-1]).any()):
-            order_e = order_s[np.argsort(eff[order_s], kind="stable")]
-            order_e = order_e[np.argsort(sid[order_e], kind="stable")]
-            g_end = eff[order_e]
-            ce0 = np.empty(n_adm + 1)
-            ce0[0] = 0.0
-            np.cumsum(rate[order_e], out=ce0[1:])
-        else:
-            # Ends share the starts' time order, so the grouped end array
-            # and its prefix sums coincide with the start-side ones.
-            g_end = te[order_s]
-            ce0 = cs0
-        # Absolute "streams ended at or before this admission" indices per
-        # group; only the binary search itself is segment-local.
-        idx = np.empty(n_adm, dtype=np.intp)
-        searchsorted = np.searchsorted
-        bounds = offsets.tolist()
-        for k in range(num_servers):
-            a = bounds[k]
-            b = bounds[k + 1]
-            if a < b:
-                idx[a:b] = searchsorted(
-                    g_end[a:b], g_start[a:b], side="right"
+    if not ((check_bw or check_cap or check_acct) and len(t0)):
+        return
+    # Replay every server's occupancy as a left fold of its streams'
+    # +rate/-rate steps in the loop's processing order (the fold an
+    # observer's timelines read too): its peak is the largest running
+    # value, attained right after some admission.
+    order, _ = processing_order(table)
+    on = np.tile(sid, 2)[order]
+    delta = np.concatenate((rate, -rate))[order]
+    step = np.where(order < len(t0), 1, -1)
+    times = np.concatenate((t0, eff))[order]
+
+    def peak_of(mine: np.ndarray, values: np.ndarray = delta):
+        """Largest running sum over the events *mine*, and its time."""
+        running = np.cumsum(values[mine])
+        at = int(np.argmax(running))
+        return running[at], float(times[mine[at]])
+
+    # The replay accumulates in a different order than the loop around a
+    # crash, so allow accumulation noise on top of the admission epsilon.
+    for server in servers:
+        k = server.server_id
+        mine = np.flatnonzero(on == k)
+        peak, when = peak_of(mine) if mine.size else (0.0, H)
+        if check_bw and peak > server.bandwidth_mbps * (1 + 1e-9) + _EPS_MBPS:
+            violations.append(
+                Violation(
+                    "bandwidth",
+                    when,
+                    f"server {k} occupancy reconstructed at "
+                    f"{peak:.9f} Mb/s exceeds its "
+                    f"{server.bandwidth_mbps:.9f} Mb/s link",
                 )
-        group_a = np.repeat(offsets[:-1], counts)
-        idx += group_a
-        # occ(i) = (cs0[i+1] - cs0[group start]) - (ce0[idx] - ce0[group start])
-        if ce0 is cs0:
-            occ = cs0[1:] - ce0[idx]
-        else:
-            occ = cs0[1:] - cs0[group_a] - ce0[idx] + ce0[group_a]
-        peaks = np.zeros(num_servers)
-        nonempty = np.flatnonzero(counts)
-        peaks[nonempty] = np.maximum.reduceat(occ, offsets[nonempty])
-        peaks_list = peaks.tolist()
-        if check_cap:
-            speaks = np.zeros(num_servers, dtype=np.int64)
-            speaks[nonempty] = np.maximum.reduceat(
-                np.arange(1, n_adm + 1) - idx, offsets[nonempty]
             )
-            speaks_list = speaks.tolist()
-        # Per-server verdicts in plain Python (cheaper than numpy verdict
-        # arrays at these server counts); the detailed slow-path sweep only
-        # runs when something actually tripped.  The reconstruction
-        # accumulates in a different order than the loop, so allow
-        # accumulation noise on top of the admission epsilon.
-        for server in servers:
-            k = server.server_id
-            peak = peaks_list[k]
-            if check_bw and peak > server.bandwidth_mbps * (1 + 1e-9) + _EPS_MBPS:
-                mine = sid == k
-                _, when = _peak_time(t0[mine], eff[mine], rate[mine])
-                violations.append(
-                    Violation(
-                        "bandwidth",
-                        when,
-                        f"server {k} occupancy reconstructed at "
-                        f"{peak:.9f} Mb/s exceeds its "
-                        f"{server.bandwidth_mbps:.9f} Mb/s link",
-                    )
+        if (
+            check_acct
+            and abs(peak - server.peak_load_mbps) > _EPS_MBPS + 1e-9 * peak
+        ):
+            violations.append(
+                Violation(
+                    "accounting",
+                    H,
+                    f"server {k} reports peak "
+                    f"{server.peak_load_mbps:.9f} Mb/s but "
+                    f"reconstruction finds {peak:.9f}",
                 )
-            if (
-                check_acct
-                and abs(peak - server.peak_load_mbps)
-                > _EPS_MBPS + 1e-9 * peak
-            ):
-                violations.append(
-                    Violation(
-                        "accounting",
-                        H,
-                        f"server {k} reports peak "
-                        f"{server.peak_load_mbps:.9f} Mb/s but "
-                        f"reconstruction finds {peak:.9f}",
-                    )
-                )
-            if (
-                check_cap
-                and server.max_streams is not None
-                and speaks_list[k] > server.max_streams
-            ):
+            )
+        if check_cap and server.max_streams is not None and mine.size:
+            streams, _ = peak_of(mine, step)
+            if streams > server.max_streams:
                 violations.append(
                     Violation(
                         "stream_cap",
                         H,
-                        f"server {k} reached {int(speaks_list[k])} concurrent "
+                        f"server {k} reached {int(streams)} concurrent "
                         f"streams over its cap of {server.max_streams}",
                     )
                 )
     if check_bw and backbones is not None and bool(red.any()):
         # Each pod's backbone is an independent link with the full
-        # per-pod capacity, so the peak is reconstructed per pod (the
+        # per-pod capacity, so the peak is replayed per pod (the
         # delegate's server block identifies the pod).
         capacity = backbones[0].capacity_mbps
-        r_idx = np.flatnonzero(red)
-        pod_of = sid[r_idx] // servers_per_pod
-        for p in np.unique(pod_of):
-            sel = r_idx[pod_of == p]
-            peak, when = _peak_time(t0[sel], eff[sel], rate[sel])
+        redirected = np.tile(red, 2)[order]
+        for p in np.unique(sid[red] // servers_per_pod):
+            peak, when = peak_of(
+                np.flatnonzero(redirected & (on // servers_per_pod == p))
+            )
             if peak > capacity * (1 + 1e-9) + _EPS_MBPS:
                 label = (
                     "backbone"
@@ -423,69 +337,27 @@ def audit_record(
     )
     violations: list[Violation] = []
     soa = record.soa
-    holds = soa.holds
-    servers = record.servers
-    backbones = record.backbones
-    num_servers = len(servers)
-    horizon_min = result.horizon_min
-
     if "monotonic" in enabled:
         _probe_monotonic(violations, record)
 
-    # Admission table: the arrival-time admissions, then the delayed
-    # ones (failover retries and wait-queue starts).
-    adm, sid, red = record.admissions()
-    t0 = soa.times.take(adm)
-    te = t0 + holds.take(adm)
-    vid = soa.videos.take(adm)
-    if record.delayed_admissions:
-        # Delayed starts interleave the arrivals; a stable merge sort
-        # restores the start-time order the peak reconstruction needs.
-        index, r_t0, r_sid = map(np.array, zip(*record.delayed_admissions))
-        t0 = np.concatenate((t0, r_t0))
-        te = np.concatenate((te, r_t0 + holds.take(index)))
-        sid = np.concatenate((sid, r_sid.astype(sid.dtype)))
-        red = np.concatenate((red, np.zeros(len(index), dtype=bool)))
-        vid = np.concatenate((vid, soa.videos.take(index)))
-        order = np.argsort(t0, kind="stable")
-        t0, te, sid, red, vid = (a[order] for a in (t0, te, sid, red, vid))
-    # Delivered rates come from the layout: the replica's rate on a
-    # direct admission, the video's best copy on a redirected one.
-    rate = np.where(
-        red, simulator._best_rates[vid], simulator._rate_matrix[vid, sid]
-    )
-
-    audit = Trajectory(num_servers, horizon_min)
+    table = record.streams(simulator._rate_matrix, simulator._best_rates)
+    audit = Trajectory(len(record.servers), result.horizon_min)
     audit.arrivals_total = soa.num_requests
     # Every simulated arrival is either admitted (a decision code or a
     # retry record) or rejected, so rejections are the complement.
-    audit.rejected = soa.num_simulated - len(t0)
+    audit.rejected = soa.num_simulated - len(table.start)
     audit.rate_matrix = simulator._rate_matrix
     audit.crash_records = record.crash_records
     audit.repair_records = record.repair_records
-    audit.admission_times = t0
-    audit.admission_servers = sid
+    audit.admission_times = table.start
+    audit.admission_servers = table.server
     audit.backbone_capacity_mbps = simulator._backbone_mbps
     audit.last_event_time = record.last_event_time
     audit.events_audited = result.num_events
-    _reconstruct(
-        audit,
-        violations,
-        t0,
-        te,
-        sid,
-        rate,
-        red,
-        vid,
-        record.crash_records,
-        servers,
-        backbones,
-        num_servers // len(backbones) if backbones else num_servers,
-        enabled,
-    )
+    _reconstruct(audit, violations, table, record, enabled)
 
     for auditor in auditors:
-        violations.extend(auditor.finish(audit, servers, result))
+        violations.extend(auditor.finish(audit, record.servers, result))
 
     return AuditReport(
         violations=tuple(violations),

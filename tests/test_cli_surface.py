@@ -176,6 +176,8 @@ INVALID_RUN_FLAGS = [
     ("pipeline", ["--failover", "--max-retries", "0"]),
     ("pipeline", ["--rereplicate", "--migration-mbps", "-1"]),
     ("pipeline", ["--sample-interval", "-1"]),
+    ("pipeline", ["--observe", "--sample-interval", "nan"]),
+    ("pipeline", ["--observe", "--sample-interval", "inf"]),
 ]
 
 #: Boundary values that are valid: the dataclass accepts each.

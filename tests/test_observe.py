@@ -335,6 +335,170 @@ class TestObserverSimulation:
         assert observer.registry.counter("sim.runs").value == 1
 
 
+class TestSampleRule:
+    """A hand-built run with known occupancy at every sample instant.
+
+    A sample at ``s`` reflects every arrival before ``s`` plus every
+    departure, crash and failover retry at or before ``s``.  Two servers
+    of two 4 Mb/s streams each; video 0 lives on server 0, video 1 on
+    server 1; every stream holds 5 minutes; samples every minute.
+    """
+
+    # (time, video, minutes watched): the arrivals at t=1.0, 2.0 and 7.0
+    # land exactly on a sample instant; the t=1.0 stream departs exactly
+    # on one (6.0), and the t=7.0 stream, watched far below one ulp of
+    # its arrival time, departs at its own arrival instant, after it.
+    TIMES = [0.5, 1.0, 1.5, 2.0, 2.8, 6.5, 7.0]
+    VIDEOS = [0, 0, 1, 0, 1, 0, 0]
+    WATCH = [5.0] * 6 + [1e-18]
+
+    def _run(self, engine, **run_kwargs):
+        from repro import ClusterSpec, VideoCollection
+        from repro.cluster_sim import make_simulator
+        from repro.model import ReplicaLayout
+        from repro.workload import RequestTrace
+
+        simulator = make_simulator(
+            engine,
+            ClusterSpec.homogeneous(2, storage_gb=1e6, bandwidth_mbps=8.0),
+            VideoCollection.homogeneous(2, duration_min=5.0),
+            ReplicaLayout.from_assignment([[0], [1]], 2),
+        )
+        observer = Observer(
+            ObserverConfig(
+                sample_interval_min=1.0, trace_events=True, trace_event_every=1
+            )
+        )
+        result = simulator.run(
+            RequestTrace(self.TIMES, self.VIDEOS, self.WATCH),
+            horizon_min=10.0,
+            observer=observer,
+            **run_kwargs,
+        )
+        return result, observer
+
+    # Arrivals before each instant t = 1..10.
+    REQUESTS = [1, 3, 5, 5, 5, 5, 6, 7, 7, 7]
+
+    @staticmethod
+    def _events(observer):
+        """Traced arrivals and departures, in recorded order."""
+        return [
+            (event["kind"], event["t"])
+            for event in observer.tracer.events
+            if event["kind"] in ("arrival", "departure")
+        ]
+
+    @staticmethod
+    def _columns(observer):
+        series = observer.registry.series
+        load = [list(row[2:]) for row in series["sim.server_load_mbps"].rows]
+        streams = [list(row[2:]) for row in series["sim.server_streams"].rows]
+        rejection = [row[2] for row in series["sim.rates"].rows]
+        return load, streams, rejection
+
+    @pytest.mark.parametrize("engine", ["vector", "optimized", "audited"])
+    def test_instant_ties(self, engine):
+        result, observer = self._run(engine)
+        assert result.delegated == ""
+        load, streams, rejection = self._columns(observer)
+        # t=1: the arrival at 1.0 is not in yet; t=2: neither is the
+        # rejected one at 2.0; t=6: the departure at 6.0 is applied.
+        s0 = [4, 8, 8, 8, 8, 0, 4, 4, 4, 4]
+        s1 = [0, 4, 8, 8, 8, 8, 4, 0, 0, 0]
+        assert load == [[float(a), float(b)] for a, b in zip(s0, s1)]
+        assert streams == [[a // 4, b // 4] for a, b in zip(s0, s1)]
+        rejected = [0, 0, 1, 1, 1, 1, 1, 1, 1, 1]
+        assert rejection == [r / q for r, q in zip(rejected, self.REQUESTS)]
+        assert self._events(observer) == [
+            ("arrival", 0.5), ("arrival", 1.0), ("arrival", 1.5),
+            ("arrival", 2.0), ("arrival", 2.8), ("departure", 5.5),
+            ("departure", 6.0), ("departure", 6.5), ("arrival", 6.5),
+            ("arrival", 7.0), ("departure", 7.0), ("departure", 7.8),
+        ]
+        arrivals = observer.tracer.by_kind("arrival")
+        assert [e["admitted"] for e in arrivals] == [
+            True, True, True, False, True, True, True
+        ]
+        departures = observer.tracer.by_kind("departure")
+        assert [e["server"] for e in departures] == [0, 0, 1, 0, 1]
+
+    @pytest.mark.parametrize("engine", ["vector", "optimized", "audited"])
+    @pytest.mark.parametrize(
+        "retries, s1, rejected, tail",
+        [
+            # The retry at 4.3 starts the stream late.
+            (3, [0, 4, 0, 0, 4, 4, 4, 4, 4, 0], [0, 0, 1, 1] + [1] * 6,
+             [(9.3, 1)]),
+            # A one-retry budget is exhausted at 3.3: rejected from then.
+            (1, [0, 4] + [0] * 8, [0, 0, 1, 2] + [2] * 6, []),
+        ],
+    )
+    def test_crash_and_failover_retry(self, engine, retries, s1, rejected, tail):
+        from repro.cluster_sim import (
+            FailoverPolicy,
+            FailureEvent,
+            FailureSchedule,
+        )
+
+        # Server 1 crashes at 2.5 (dropping the t=1.5 stream) and is back
+        # at 3.5.  The t=2.8 request retries at 3.3 (still down) and, with
+        # budget left, at 4.3: pending at the 3.0 sample, neither served
+        # nor rejected.
+        result, observer = self._run(
+            engine,
+            failures=FailureSchedule([FailureEvent(2.5, 1, 1.0)]),
+            failover=FailoverPolicy(
+                max_retries=retries, backoff_base_min=0.5, backoff_factor=2.0
+            ),
+        )
+        assert result.delegated == ("failures" if engine == "vector" else "")
+        assert result.num_rejected == rejected[-1]
+        assert result.streams_dropped == 1
+        load, streams, rejection = self._columns(observer)
+        s0 = [4, 8, 8, 8, 8, 0, 4, 4, 4, 4]
+        assert load == [[float(a), float(b)] for a, b in zip(s0, s1)]
+        assert streams == [[a // 4, b // 4] for a, b in zip(s0, s1)]
+        assert rejection == [r / q for r, q in zip(rejected, self.REQUESTS)]
+        arrivals = observer.tracer.by_kind("arrival")
+        # Admitted *on arrival*: the retried request was not.
+        assert [e["admitted"] for e in arrivals] == [
+            True, True, True, False, False, True, True
+        ]
+        departures = observer.tracer.by_kind("departure")
+        assert [(e["t"], e["server"]) for e in departures] == [
+            (5.5, 0), (6.0, 0), (7.0, 0)
+        ] + tail
+
+
+class TestSampleBounds:
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="sample_interval_min"):
+            ObserverConfig(sample_interval_min=interval)
+
+    def test_sample_count_bounded_by_trace_cap(self, small_setup):
+        # 90 one-minute samples fit a cap of 90, not one of 89.
+        _, _, observer = _run_pair(
+            small_setup,
+            config=ObserverConfig(sample_interval_min=1.0, max_trace_events=90),
+        )
+        assert len(observer.registry.series["sim.server_load_mbps"]) == 90
+        with pytest.raises(ValueError, match=r"1\.0.*90\.0.*89"):
+            _run_pair(
+                small_setup,
+                config=ObserverConfig(
+                    sample_interval_min=1.0, max_trace_events=89
+                ),
+            )
+
+    def test_tiny_interval_fails_fast(self, small_setup):
+        with pytest.raises(ValueError, match=r"1e-09.*90\.0"):
+            _run_pair(
+                small_setup, config=ObserverConfig(sample_interval_min=1e-9)
+            )
+
+
 # ----------------------------------------------------------------------
 # Observer + annealing / dynamic hooks
 # ----------------------------------------------------------------------
@@ -420,10 +584,11 @@ class TestExport:
         path = tmp_path / "obs.jsonl"
         observer.export_jsonl(path)
         runs = [e for e in load_trace(path) if e["kind"] == "sim.run"]
-        assert runs and all(e["delegated"] == "observer" for e in runs)
+        # Observation is folded after the run: it never delegates.
+        assert runs and all(e["delegated"] == "" for e in runs)
         text = render_trace_report(load_trace(path))
         assert f"engine path ({len(runs)} simulated runs)" in text
-        assert f"delegated runs    observer {len(runs)}" in text
+        assert "delegated runs    none" in text
 
     def test_render_empty(self):
         assert "empty trace" in render_trace_report([])

@@ -133,6 +133,89 @@ class TestSolve:
         # Phase times are folded into the run report.
         assert observed.report.phase_seconds["simulate"] > 0.0
 
+    @staticmethod
+    def _observation(observer):
+        """Every simulation series row and traced arrival/departure."""
+        series = {
+            name: series.rows
+            for name, series in observer.registry.series.items()
+            if name.startswith("sim.")
+        }
+        events = [
+            event
+            for event in observer.tracer.events
+            if event["kind"] in ("arrival", "departure")
+        ]
+        return series, events
+
+    @pytest.mark.parametrize("chaos", [False, True])
+    def test_observed_solve_honours_jobs(self, small_setup, chaos):
+        from repro.cluster_sim import FailoverPolicy, FailureSpec
+        from repro.runtime import ParallelRunner
+
+        config = PipelineConfig(
+            theta=0.75,
+            replication_degree=1.2,
+            arrival_rate_per_min=40.0,
+            setup=small_setup,
+            **(
+                {
+                    "failures": FailureSpec(
+                        kind="mtbf", mtbf_min=20.0, mttr_min=4.0
+                    ),
+                    "failover": FailoverPolicy(),
+                    "failover_on_down": True,
+                }
+                if chaos
+                else {}
+            ),
+        )
+        observer_config = ObserverConfig(
+            sample_interval_min=2.0, trace_events=True, trace_event_every=5
+        )
+        solved = {}
+        for jobs in (1, 2):
+            observer = Observer(observer_config)
+            with ParallelRunner(jobs=jobs) as runner:
+                result = solve(config, observer=observer, runner=runner)
+            assert result.report.jobs == jobs
+            solved[jobs] = result, observer
+        (serial, serial_obs), (pooled, pooled_obs) = solved.values()
+        for a, b in zip(serial.results, pooled.results, strict=True):
+            assert a.same_outcome(b)
+            assert a.delegated == b.delegated == ("failures" if chaos else "")
+        series, events = self._observation(serial_obs)
+        assert events and all(series.values())
+        assert self._observation(pooled_obs) == (series, events)
+        assert pooled_obs.registry.counter("sim.runs").value == len(
+            pooled.results
+        )
+
+    def test_runner_observer_keeps_batches_only(self, small_setup):
+        # Simulated runs always go to solve's observer; a runner built
+        # around another observer keeps its batch records, nothing else.
+        from repro.runtime import ParallelRunner
+
+        config = PipelineConfig(setup=small_setup, arrival_rate_per_min=12.0)
+        mine, theirs = Observer(), Observer()
+        with ParallelRunner(jobs=1, observer=theirs) as runner:
+            solve(config, observer=mine, runner=runner)
+        assert mine.registry.counter("sim.runs").value == small_setup.num_runs
+        assert "simulate" in mine.phase_seconds
+        assert "sim.runs" not in theirs.registry.counters
+        assert theirs.registry.counter("runner.batches").value == 1
+
+    def test_observed_trials_skip_the_cache(self, small_setup, tmp_path):
+        from repro.runtime import ParallelRunner, ResultCache
+
+        config = PipelineConfig(setup=small_setup, arrival_rate_per_min=12.0)
+        runner = ParallelRunner(jobs=1, cache=ResultCache(tmp_path))
+        solve(config, runner=runner)
+        observer = Observer()
+        solve(config, observer=observer, runner=runner)
+        assert runner.report.num_cache_hits == 0
+        assert observer.registry.counter("sim.runs").value == small_setup.num_runs
+
     def test_refine_stage_runs(self, small_setup):
         result = solve(
             PipelineConfig(
