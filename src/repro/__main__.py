@@ -249,6 +249,7 @@ def _build_config(cls, args, **objects):
 def _pipeline(args):
     """The ``pipeline`` verb: ``(observer config, run(observer, runner))``."""
     from .cluster_sim import FailoverPolicy, RereplicationPolicy
+    from .cluster_sim.observation import sample_instants
     from .experiments.config import PaperSetup
     from .observe import ObserverConfig
     from .pipeline import PipelineConfig, solve
@@ -272,6 +273,9 @@ def _pipeline(args):
         sample_interval_min=args.sample_interval,
         trace_events=args.trace_events,
     )
+    # Every run samples over the setup's peak period: refuse an interval
+    # that would overflow one run's samples before anything runs.
+    sample_instants(observer_config, config.setup.peak_minutes)
 
     def run(observer, runner) -> str:
         return solve(config, observer=observer, runner=runner).format()

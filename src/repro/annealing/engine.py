@@ -32,11 +32,18 @@ Contract for contexts:
   so the engine calls ``resync()`` at every level boundary and recomputes
   the final best cost with ``problem.cost``.
 
-The ``T0`` calibration walk moves through a context too.  It accepts every
-move, so it collects the visited states and costs them exactly with one
-batched ``problem.cost`` call on their ``(K, M, N)`` stack; a problem that
-opts in must therefore accept a stack in ``cost`` and write a state into
-a row of it through ``export_state(out=...)``.  The full walk, one
+One context serves the whole run.  The ``T0`` calibration walk runs on
+the same context as the Metropolis loop, between ``begin_walk()`` and
+``end_walk()``.  The walk accepts every move, so the states it visits do
+not depend on their costs; ``end_walk`` returns the exact cost of each
+(bitwise ``problem.cost``, not a cached delta) and undoes the walk, so
+the loop starts from a context equal bit for bit to a fresh
+``make_incremental(state)``.  For the scalable-rate problem the exact
+costing reads each walk state as the start plus the rows its moves
+touched: counts and rate row sums come from those row versions alone
+(the same contiguous-row ``sum`` as ``problem.cost``), and the loads are
+folded over videos in an ``(M, K, N)`` layout, instead of ``K * M``
+reductions only ``N`` long.  The full walk, one
 ``problem.cost`` per state, stays the oracle and gives the same ``T0``.
 
 Random draws
@@ -81,13 +88,7 @@ class AnnealingProblem(Protocol):
         ...
 
     def cost(self, state: Any) -> Any:
-        """Cost to minimize (for Eq. 1, the negated objective).
-
-        One state gives a float.  A problem that provides
-        ``make_incremental`` must also accept an ndarray stack of ``K``
-        states and return their ``K`` costs, each bitwise equal to costing
-        that state alone: the incremental ``T0`` walk costs its states so.
-        """
+        """Cost to minimize (for Eq. 1, the negated objective)."""
         ...
 
     def propose(self, state: Any, rng: np.random.Generator) -> Any | None:
@@ -132,13 +133,19 @@ class IncrementalContext(Protocol):
         """
         ...
 
-    def export_state(self, out: Any | None = None) -> Any:
-        """An independent copy of the current state.
+    def export_state(self) -> Any:
+        """An independent copy of the current state."""
+        ...
 
-        With *out* (an array of the state's shape), the state is written
-        into it and *out* is returned; the ``T0`` walk fills one
-        preallocated stack so.
-        """
+    def begin_walk(self) -> None:
+        """Start an accept-all walk from the current state (``T0``)."""
+        ...
+
+    def end_walk(self) -> Any:
+        """End the walk: return the exact costs of its start and of every
+        state it committed, in order, each bitwise equal to
+        ``problem.cost`` of that state, and undo its moves, leaving the
+        context bitwise as it was at :meth:`begin_walk`."""
         ...
 
 
@@ -220,33 +227,27 @@ class SimulatedAnnealer:
         state: Any,
         rng: np.random.Generator,
         *,
-        incremental: bool = False,
+        context: IncrementalContext | None = None,
     ) -> CoolingSchedule:
         """Sample uphill deltas from a short random walk to pick ``T0``.
 
         The walk accepts every proposal, so the states it visits do not
-        depend on their costs.  With ``incremental`` its moves run through
-        a context from the problem's ``make_incremental`` and the visited
-        states are costed together in one ``problem.cost`` call on their
-        ``(K, M, N)`` stack; otherwise every step is a full ``propose``
-        costed on its own (the oracle).  Either way each state gets its
-        exact cost rather than a cached delta: only the *uphill* deltas
-        count, and a move that leaves the cost unchanged must stay exactly
-        zero, which a cached delta's float drift does not guarantee.  Both
-        walks draw the same random numbers, so they give the same ``T0``.
+        depend on their costs.  With a *context* (the run's own, from the
+        problem's ``make_incremental``) its moves run through the context
+        and ``end_walk`` costs the visited states and undoes the walk;
+        otherwise every step is a full ``propose`` costed on its own (the
+        oracle).  Either way each state gets its exact cost rather than a
+        cached delta: only the *uphill* deltas count, and a move that
+        leaves the cost unchanged must stay exactly zero, which a cached
+        delta's float drift does not guarantee.  Both walks draw the same
+        random numbers, so they give the same ``T0``.
         """
-        if incremental:
-            context: IncrementalContext = problem.make_incremental(state)
-            walk = np.empty((65, *np.shape(state)))  # the start + 64 moves
-            walk[0] = state
-            visited = 1
+        if context is not None:
+            context.begin_walk()
             for _ in range(64):
-                if context.propose(rng) is None:
-                    continue
-                context.commit()
-                context.export_state(out=walk[visited])
-                visited += 1
-            deltas = np.diff(problem.cost(walk[:visited])).tolist()
+                if context.propose(rng) is not None:
+                    context.commit()
+            deltas = np.diff(context.end_walk()).tolist()
         else:
             cost = problem.cost(state)
             deltas = []
@@ -414,11 +415,10 @@ class SimulatedAnnealer:
     ) -> AnnealingResult:
         """Delta-cost Metropolis loop over an :class:`IncrementalContext`,
         from *state*, drawing from *rng* (a draw stream on ``PCG64``)."""
-        schedule = self._schedule or self._calibrate_schedule(
-            problem, state, rng, incremental=True
-        )
-
         context: IncrementalContext = problem.make_incremental(state)
+        schedule = self._schedule or self._calibrate_schedule(
+            problem, state, rng, context=context
+        )
         cost = context.cost()
         best_state = context.export_state()
         best_cost = cost

@@ -11,10 +11,7 @@ The three problem-specific decisions the paper lists:
    ``-( mean_i(b_i)/b_max + alpha * mean_i(r_i)/N - beta * L )`` where
    ``b_i`` is the mean rate over video ``i``'s replicas, ``L`` the relative
    Eq. (2) imbalance of the expected server loads under static round-robin
-   dispatch of ``lambda * T`` requests.  ``cost`` also takes a
-   ``(K, M, N)`` stack of states and returns their ``K`` costs, each equal
-   bit for bit to the cost of its matrix (the engine's ``T0`` walk costs
-   all its states in one call).
+   dispatch of ``lambda * T`` requests.
 2. **Initial solution** — every video one replica at the lowest allowed
    rate, dealt round robin over the servers ("each video can have one
    replica at least in a low bit rate quality").
@@ -31,28 +28,35 @@ Incremental evaluation
 engine's delta-cost protocol (see :mod:`repro.annealing.engine`).  Move
 *selection* is one implementation, :meth:`~ScalableBitRateProblem._choose_move`
 and :meth:`~ScalableBitRateProblem._choose_shed`, which read one server's
-rate column and its ascending holder list (the videos with a replica there)
-and return the ``(video, new rate)`` entry to write.  The incremental context
-keeps a holder list and a plain-float rate column per server exact through
-every write and rollback; the full path rebuilds them from its matrix copy
-on every proposal.  Both paths therefore consume identical
-rng sequences by construction.  The context evaluates each move by updating
+rate column, its ascending holder list (the videos with a replica there)
+and its raisable list (the holders below the top rate) and return the
+``(video, new rate)`` entry to write.  The incremental context keeps these
+lists and a plain-float rate column per server exact through every write
+and rollback; the full path rebuilds them from its matrix copy on every
+proposal.  Both paths therefore consume identical rng sequences by
+construction.  The context evaluates each move by updating
 cached per-video replica counts/rate sums and per-server load/storage
 vectors in O(touched entries) instead of copying and rescanning the
 ``(M, N)`` state, while the full path recomputes cost and feasibility from
 the matrix.  Rolled-back moves restore the state bitwise; the accumulated
 float caches (rate sums, quality terms, loads, storage) are rebuilt by the
 engine's ``resync`` at level boundaries, so any accumulation drift stays
-below the acceptance noise floor.  Columns, holder lists and replica counts
-are exact and never need a rebuild.  The full-recompute path remains the
-behavior oracle (``tests/test_annealing_incremental.py`` cross-checks
-deltas, rollbacks, holder lists and end-to-end trajectories).
+below the acceptance noise floor; the rebuild equals a fresh context's
+bit for bit.  Columns, holder lists and replica counts are exact and
+never need a rebuild.  The engine's ``T0`` walk runs on the same context
+(``begin_walk``/``end_walk``): its states are costed exactly from the rows
+its moves touched and the walk is undone.  The full-recompute path
+remains the behavior oracle (``tests/test_annealing_incremental.py``
+cross-checks deltas, rollbacks, holder lists, walk costs, rebuilt caches
+and end-to-end trajectories).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections.abc import Sequence
+from itertools import repeat
+from operator import gt, sub
 
 import numpy as np
 
@@ -123,31 +127,18 @@ class ScalableBitRateProblem:
             )
         return state
 
-    def cost(self, state: np.ndarray) -> float | np.ndarray:
-        """Negated normalized Eq. (1) objective (lower is better).
-
-        *state* is one ``(M, N)`` matrix, or a ``(K, M, N)`` stack whose
-        ``K`` costs come back as an array.  Every reduction runs along the
-        same trailing axis either way, so each stacked cost equals the
-        cost of its matrix bit for bit.
-        """
-        present = state > 0
-        counts = present.sum(axis=-1)
+    def cost(self, state: np.ndarray) -> float:
+        """Negated normalized Eq. (1) objective (lower is better)."""
+        counts = (state > 0).sum(axis=1)
         if np.any(counts < 1):
             raise ValueError("state lost a video's last replica (Eq. 7)")
-        mean_rate = state.sum(axis=-1) / counts
-        loads = self._server_loads(state, counts)
-        mean_load = loads.mean(axis=-1)
-        worst = np.abs(loads - mean_load[..., None]).max(axis=-1)
-        imbalance = np.divide(
-            worst, mean_load, out=np.zeros_like(worst), where=mean_load != 0
+        return float(
+            self._costs_from(
+                state.sum(axis=1) / counts,
+                counts.mean(),
+                self._server_loads(state, counts),
+            )
         )
-        objective = (
-            mean_rate.mean(axis=-1) / self.max_rate
-            + self._alpha * counts.mean(axis=-1) / self._problem.num_servers
-            - self._beta * imbalance
-        )
-        return float(-objective) if state.ndim == 2 else -objective
 
     def propose(
         self, state: np.ndarray, rng: np.random.Generator
@@ -156,7 +147,10 @@ class ScalableBitRateProblem:
         server = int(rng.integers(self._problem.num_servers))
         new_state = state.copy()
         column = new_state[:, server]
-        move = self._choose_move(column, _holders(column), rng)
+        holders = _holders(column)
+        move = self._choose_move(
+            column, holders, self._raisable(column, holders), rng
+        )
         if move is None:
             return None
         video, value = move
@@ -201,6 +195,24 @@ class ScalableBitRateProblem:
         weights = self._probs / counts
         return self._requests * (weights[..., None] * state).sum(axis=-2)
 
+    def _costs_from(
+        self, mean_rate: np.ndarray, mean_count: np.ndarray, loads: np.ndarray
+    ) -> np.ndarray:
+        """The cost from the per-video mean rates ``b_i``, the mean replica
+        count and the per-server loads, of one state or, along leading
+        axes, of many (:meth:`_IncrementalScalableState.end_walk`)."""
+        mean_load = loads.mean(axis=-1)
+        worst = np.abs(loads - mean_load[..., None]).max(axis=-1)
+        imbalance = np.divide(
+            worst, mean_load, out=np.zeros_like(worst), where=mean_load != 0
+        )
+        objective = (
+            mean_rate.mean(axis=-1) / self.max_rate
+            + self._alpha * mean_count / self._problem.num_servers
+            - self._beta * imbalance
+        )
+        return -objective
+
     def _server_storage(self, state: np.ndarray, server: int) -> float:
         return float((state[:, server] * self._gb_per_mbps).sum())
 
@@ -220,30 +232,33 @@ class ScalableBitRateProblem:
 
     # Move selection, shared by the full and incremental paths.  Both read
     # one server's rate column (indexed by video) and its ascending holder
-    # list and return the entry to write, so both consume the rng alike.
+    # and raisable lists and return the entry to write, so both consume
+    # the rng alike.
+
+    def _raisable(self, column: Sequence[float], holders: list[int]) -> list[int]:
+        """Ascending ids of the holders below the top rate."""
+        top = self._max_rate - 1e-12
+        return [video for video in holders if column[video] < top]
 
     def _choose_move(
         self,
         column: Sequence[float],
         holders: list[int],
+        raisable: list[int],
         rng: np.random.Generator,
     ) -> tuple[int, float] | None:
         """The raise-rate or add-video move on one server, as
-        ``(video, new rate)``; None when the server admits neither."""
-        top = self._max_rate - 1e-12
-        raisable = [video for video in holders if column[video] < top]
+        ``(video, new rate)``; None when the server admits neither.
+        *raisable* lists the holders below the top rate (:meth:`_raisable`)."""
         num_absent = self._num_videos - len(holders)
-        moves = []
-        if raisable:
-            moves.append("raise")
-        if num_absent:
-            moves.append("add")
-        if not moves:
+        # The move kinds on offer, raise before add; draw one of them.
+        kinds = (1 if raisable else 0) + (1 if num_absent else 0)
+        if not kinds:
             return None
-        move = moves[int(rng.integers(len(moves)))]
+        kind = int(rng.integers(kinds))
 
         rates = self._rates_l
-        if move == "raise":
+        if raisable and kind == 0:
             video = raisable[int(rng.integers(len(raisable)))]
             next_idx = bisect_left(rates, column[video] + 1e-12)
             return video, rates[min(next_idx, len(rates) - 1)]
@@ -261,6 +276,7 @@ class ScalableBitRateProblem:
         holders: list[int],
         counts: Sequence[int],
         protect: int,
+        lowest: float | None = None,
     ) -> tuple[int, float] | None:
         """Decrease or delete the lowest-rate shedable replica on a server,
         as ``(video, new rate)``; None when nothing can be shed.
@@ -268,7 +284,9 @@ class ScalableBitRateProblem:
         One pass over the ascending holders keeps the lowest
         ``(rate, video)`` replica that can shed: one above the lowest rate
         (decreased) or one that is not its video's last (deleted).  A last
-        replica at the lowest rate is protected by Eq. 7."""
+        replica at the lowest rate is protected by Eq. 7.  *lowest*, when
+        no holder's rate is below it, ends the pass at the first replica
+        found at that rate: none after it can be lower."""
         floor = self._min_rate + 1e-12
         best = -1
         best_rate = 0.0
@@ -280,6 +298,8 @@ class ScalableBitRateProblem:
                 continue
             if rate > floor or counts[video] > 1:
                 best, best_rate = video, rate
+                if rate == lowest:
+                    break
         if best < 0:
             return None
         if best_rate > floor:
@@ -321,25 +341,45 @@ def _holders(column: np.ndarray) -> list[int]:
     return np.flatnonzero(column > 0).tolist()
 
 
+def _sum_over_videos(terms: np.ndarray) -> np.ndarray:
+    """Sum ``(M, K, N)`` per-video terms over videos into ``(K, N)``,
+    bit for bit as ``sum(axis=-2)`` sums each ``(M, N)`` state.
+
+    numpy adds the rows of an ``(M, N)`` matrix in video order, one
+    server column per element of the inner loop, and an ``(M, K, N)``
+    stack summed over its leading axis takes the same order with a
+    ``K * N``-long inner loop.  A lone server column (``N == 1``) is
+    instead summed pairwise as one contiguous vector, so it gets a
+    contiguous copy per state.
+    """
+    if terms.shape[-1] > 1:
+        return terms.sum(axis=0)
+    return np.ascontiguousarray(terms[:, :, 0].T).sum(axis=-1)[:, None]
+
+
 class _IncrementalScalableState:
     """Delta-cost trajectory state for :class:`ScalableBitRateProblem`.
 
-    Caches, per video: replica count (exact int), rate row sum, mean-rate
-    quality term; per server: expected load and storage (Mb/s, GB), the
-    ascending holder list and the rate column as plain floats; plus the
-    quality-sum and total-replica scalars and the current cost.  One
-    ``_set`` updates all of them in O(N + holders) worst case (a
-    replica-count change touches the video's whole load row), so a
-    Metropolis step costs O(touched entries) instead of the full O(M·N)
-    rescan.
+    Caches, per video: replica count (exact int), the ascending servers
+    holding it, rate row sum, mean-rate quality term and load weight
+    ``p_i / r_i``; per server: expected load and storage (Mb/s, GB), the
+    ascending holder and raisable (below the top rate) lists and the rate
+    column as plain floats; plus the quality-sum and total-replica
+    scalars and the current cost.  One ``_set`` updates them in
+    O(holders) worst case (a replica-count change moves load on every
+    server holding the video), so a Metropolis step costs O(touched
+    entries) instead of the full O(M·N) rescan.
 
     Rollback restores the state matrix, the per-server columns and holder
     lists and the integer/row caches from the undo log (bitwise) and the
     small per-server vectors from snapshots taken at propose time; the
-    cost of the pre-move state is kept, not recomputed.  The exact caches
-    (columns, holder lists, counts, total replicas) are built once at
-    construction; ``resync`` recomputes only the float caches from the
-    matrix.
+    cost of the pre-move state is kept, not recomputed.  Every committed
+    move's undo log is kept in a journal until the next ``resync``, which
+    recomputes the row caches of the videos the journal names and the
+    per-server folds (and nothing when no move was committed: the caches
+    are then exactly what the last rebuild left).  ``begin_walk`` /
+    ``end_walk`` reuse the journal to cost the ``T0`` walk's states
+    exactly and to undo the walk.
     """
 
     __slots__ = (
@@ -349,15 +389,20 @@ class _IncrementalScalableState:
         "_N",
         "_probs_l",
         "_gb_l",
-        "_bw_l",
-        "_cap_l",
+        "_bw_lim",
+        "_cap_lim",
+        "_top",
+        "_lowest",
         "_R",
         "_max_sheds",
         "_cols",
         "_holders",
+        "_raisable",
+        "_sites",
         "_counts",
         "_row_sums",
         "_quality",
+        "_weights",
         "_quality_sum",
         "_total_replicas",
         "_loads",
@@ -365,6 +410,8 @@ class _IncrementalScalableState:
         "_cost",
         "_pending_cost",
         "_log",
+        "_journal",
+        "_walk",
         "_loads_snap",
         "_storage_snap",
         "_qsum_snap",
@@ -379,22 +426,47 @@ class _IncrementalScalableState:
         # scalar boxing in the per-move updates).
         self._probs_l = problem._probs.tolist()
         self._gb_l = problem._gb_per_mbps.tolist()
-        self._bw_l = np.asarray(problem._bandwidth, dtype=np.float64).tolist()
-        self._cap_l = np.asarray(problem._storage_gb, dtype=np.float64).tolist()
+        self._bw_lim = [
+            bw + _SLACK
+            for bw in np.asarray(problem._bandwidth, dtype=np.float64).tolist()
+        ]
+        self._cap_lim = [
+            cap + _SLACK
+            for cap in np.asarray(problem._storage_gb, dtype=np.float64).tolist()
+        ]
+        self._top = problem._max_rate - 1e-12
         self._R = float(problem._requests)
         self._max_sheds = self._M * problem._rates.size + 1
         self._log: list[tuple[int, int, float, int, float, float]] = []
+        self._journal: list[list[tuple[int, int, float, int, float, float]]] = []
         # The exact caches: every write and rollback keeps them exact, so
         # they are built once here and never rebuilt.
         present = self._state > 0
         counts = present.sum(axis=1)
         if np.any(counts < 1):
             raise ValueError("state lost a video's last replica (Eq. 7)")
+        # A shed scan may stop at the lowest allowed rate only when no
+        # replica is below it; writes are 0 or allowed rates, so a start
+        # without such a replica never gets one.
+        below = present & (self._state < problem._min_rate)
+        self._lowest = None if below.any() else problem._min_rate
         self._cols = self._state.T.tolist()
         self._holders = [column.nonzero()[0].tolist() for column in present.T]
+        self._raisable = [
+            problem._raisable(column, holders)
+            for column, holders in zip(self._cols, self._holders)
+        ]
+        self._sites: list[list[int]] = [[] for _ in range(self._M)]
+        for server, holders in enumerate(self._holders):
+            for video in holders:
+                self._sites[video].append(server)
         self._counts = counts.tolist()
         self._total_replicas = int(counts.sum())
-        self.resync()
+        row_sums = self._state.sum(axis=1)
+        self._row_sums = row_sums.tolist()
+        self._quality = (row_sums / counts).tolist()
+        self._weights = problem._probs / counts
+        self._rebuild_folds()
 
     # -- IncrementalContext protocol ----------------------------------
     def cost(self) -> float:
@@ -407,24 +479,34 @@ class _IncrementalScalableState:
         server = int(rng.integers(self._N))
         column = self._cols[server]
         holders = self._holders[server]
-        move = p._choose_move(column, holders, rng)
+        raisable = self._raisable[server]
+        move = p._choose_move(column, holders, raisable, rng)
         if move is None:
             return None
-        self._log.clear()
+        video, value = move
+        if (
+            any(map(gt, self._loads, self._bw_lim))
+            or any(map(gt, self._storage, self._cap_lim))
+        ) and self._doomed(server, video):
+            return None
+        self._log = []
         self._loads_snap = self._loads.copy()
         self._storage_snap = self._storage.copy()
         self._qsum_snap = self._quality_sum
         self._total_snap = self._total_replicas
-        video, value = move
         self._set(video, server, value)
 
         # Repair the server from its cached storage and load; O(1) checks.
-        cap = self._cap_l[server] + _SLACK
-        bw = self._bw_l[server] + _SLACK
+        cap = self._cap_lim[server]
+        bw = self._bw_lim[server]
         for _ in range(self._max_sheds):
             if self._storage[server] <= cap and self._loads[server] <= bw:
                 break
-            shed = p._choose_shed(column, holders, self._counts, video)
+            # A replica below the top rate that can shed beats every
+            # top-rate one, so scan the raisable holders first.
+            shed = p._choose_shed(
+                column, raisable, self._counts, video, self._lowest
+            ) or p._choose_shed(column, holders, self._counts, video, self._lowest)
             if shed is None:
                 self.rollback()
                 return None
@@ -434,38 +516,20 @@ class _IncrementalScalableState:
             return None
         # Global feasibility re-check (repair shifts load to other
         # servers); O(N) against the cached vectors.
-        bw_l, cap_l = self._bw_l, self._cap_l
-        loads, storage = self._loads, self._storage
-        for k in range(self._N):
-            if loads[k] > bw_l[k] + _SLACK or storage[k] > cap_l[k] + _SLACK:
-                self.rollback()
-                return None
+        if any(map(gt, self._loads, self._bw_lim)) or any(
+            map(gt, self._storage, self._cap_lim)
+        ):
+            self.rollback()
+            return None
         self._pending_cost = self._compute_cost()
         return self._pending_cost - self._cost
 
     def commit(self) -> None:
-        self._log.clear()
+        self._journal.append(self._log)
         self._cost = self._pending_cost
 
     def rollback(self) -> None:
-        state = self._state
-        cols = self._cols
-        counts = self._counts
-        row_sums = self._row_sums
-        quality = self._quality
-        for video, server, old, c_old, rs_old, q_old in reversed(self._log):
-            column = cols[server]
-            if (column[video] > 0.0) != (old > 0.0):
-                if old > 0.0:
-                    insort(self._holders[server], video)
-                else:
-                    self._holders[server].remove(video)
-            column[video] = old
-            state[video, server] = old
-            counts[video] = c_old
-            row_sums[video] = rs_old
-            quality[video] = q_old
-        self._log.clear()
+        self._undo(self._log)
         self._loads = self._loads_snap
         self._storage = self._storage_snap
         self._quality_sum = self._qsum_snap
@@ -475,38 +539,164 @@ class _IncrementalScalableState:
         """Recompute the float caches from the state matrix (clears drift).
 
         Columns, holder lists and replica counts stay exact through every
-        write and rollback, so only the accumulated floats are rebuilt."""
-        state = self._state
-        p = self._p
-        counts = np.array(self._counts)
-        row_sums = state.sum(axis=1)
-        self._row_sums = row_sums.tolist()
-        self._quality = (row_sums / counts).tolist()
-        self._quality_sum = float(sum(self._quality))
-        self._loads = p._server_loads(state, counts).tolist()
-        self._storage = (state * p._gb_per_mbps[:, None]).sum(axis=0).tolist()
-        self._log.clear()
-        self._cost = self._compute_cost()
+        write and rollback.  A video's row caches change only through a
+        committed move, so only the videos in the journal get their rate
+        row sum, quality term and weight recomputed, through the same
+        contiguous-row ``sum`` as a full rebuild; the per-server folds are
+        rebuilt whole.  With an empty journal every cache already equals
+        the last rebuild, and nothing is done."""
+        if not self._journal:
+            return
+        dirty = list({entry[0] for log in self._journal for entry in log})
+        self._journal = []
+        counts = np.array([self._counts[video] for video in dirty])
+        index = np.array(dirty)
+        row_sums = self._state[index].sum(axis=1)
+        quality = row_sums / counts
+        self._weights[index] = self._p._probs[index] / counts
+        cached_sums, cached_quality = self._row_sums, self._quality
+        for video, row_sum, term in zip(dirty, row_sums.tolist(), quality.tolist()):
+            cached_sums[video] = row_sum
+            cached_quality[video] = term
+        self._rebuild_folds()
 
-    def export_state(self, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            return self._state.copy()
-        out[...] = self._state
-        return out
+    def export_state(self) -> np.ndarray:
+        return self._state.copy()
+
+    def begin_walk(self) -> None:
+        """Start a walk: :meth:`end_walk` costs the states committed from
+        here and undoes their moves."""
+        self._walk = (
+            len(self._journal),
+            self._loads.copy(),
+            self._storage.copy(),
+            self._quality_sum,
+            self._total_replicas,
+            self._cost,
+        )
+
+    def end_walk(self) -> np.ndarray:
+        """Exact costs of the walk's start and of each state it committed,
+        in order, each bitwise equal to ``problem.cost`` of that state;
+        the walk's moves are undone, so the context is bitwise what it was
+        at :meth:`begin_walk`.
+
+        A walk state differs from the start only in the rows its moves
+        touched.  Each distinct row version (the start's ``M`` rows and
+        every row a move left behind) is counted, summed and weighted
+        once; an ``(K, M)`` index map assembles the ``K`` states' counts
+        and row sums from them, and the load terms are folded over videos
+        in an ``(M, K, N)`` layout (:func:`_sum_over_videos`) instead of
+        ``K * M`` reductions only ``N`` long."""
+        mark, loads, storage, quality_sum, total, cost = self._walk
+        steps = self._journal[mark:]
+        del self._journal[mark:]
+        # Undo the walk from its last move, reading each move's touched
+        # rows off the columns just before undoing it.
+        cols = self._cols
+        step_of: list[int] = []
+        videos: list[int] = []
+        rows: list[float] = []
+        for step in range(len(steps), 0, -1):
+            log = steps[step - 1]
+            for video in {entry[0] for entry in log}:
+                step_of.append(step)
+                videos.append(video)
+                rows += [column[video] for column in cols]
+            self._undo(log)
+        self._loads, self._storage = loads, storage
+        self._quality_sum, self._total_replicas, self._cost = quality_sum, total, cost
+
+        p = self._p
+        M, N = self._M, self._N
+        # The row versions, the start's M rows first, then the walk's in
+        # step order; source[k, i] is the row holding video i in state k.
+        step_of.reverse()
+        videos.reverse()
+        table = np.concatenate((self._state, np.reshape(rows, (-1, N))[::-1]))
+        owner = np.arange(table.shape[0])
+        owner[M:] = videos
+        source = np.full((len(steps) + 1, M), -1, dtype=np.intp)
+        source[0] = owner[:M]
+        source[step_of, videos] = np.arange(M, table.shape[0])
+        np.maximum.accumulate(source, axis=0, out=source)
+        counts = (table > 0).sum(axis=-1)
+        terms = (p._probs[owner] / counts)[:, None] * table
+        loads = p._requests * _sum_over_videos(np.take(terms, source.T, axis=0))
+        return p._costs_from(
+            (table.sum(axis=-1) / counts)[source],
+            counts[source].mean(axis=-1),
+            loads,
+        )
 
     # -- internals -----------------------------------------------------
+    def _doomed(self, server: int, video: int) -> bool:
+        """Whether a move on *server* that first writes *video* must fail
+        the global feasibility check, from a state that breaks a bound.
+
+        Another server's storage only changes with its own column, and
+        its load only rises under the repair's deletions, unless the move
+        adds a replica of a video it holds (the one way a move lowers
+        another server's load).  Voiding such a move before it is applied
+        draws nothing more and leaves the same state."""
+        adds = self._cols[server][video] == 0.0
+        for k, column in enumerate(self._cols):
+            if k == server:
+                continue
+            if self._storage[k] > self._cap_lim[k]:
+                return True
+            if self._loads[k] > self._bw_lim[k] and not (adds and column[video]):
+                return True
+        return False
+
+    def _undo(self, log: list[tuple[int, int, float, int, float, float]]) -> None:
+        """Undo *log*'s writes, last first (bitwise)."""
+        state = self._state
+        cols = self._cols
+        counts = self._counts
+        row_sums = self._row_sums
+        quality = self._quality
+        top = self._top
+        for video, server, old, c_old, rs_old, q_old in reversed(log):
+            column = cols[server]
+            value = column[video]
+            if (value > 0.0) != (old > 0.0):
+                if old > 0.0:
+                    insort(self._holders[server], video)
+                    insort(self._sites[video], server)
+                else:
+                    self._holders[server].remove(video)
+                    self._sites[video].remove(server)
+            raisable = 0.0 < old < top
+            if raisable != (0.0 < value < top):
+                if raisable:
+                    insort(self._raisable[server], video)
+                else:
+                    self._raisable[server].remove(video)
+            column[video] = old
+            state[video, server] = old
+            counts[video] = c_old
+            row_sums[video] = rs_old
+            quality[video] = q_old
+
+    def _rebuild_folds(self) -> None:
+        """Rebuild the quality sum, the per-server folds and the cost from
+        the row caches and the state matrix."""
+        p = self._p
+        state = self._state
+        self._quality_sum = float(sum(self._quality))
+        self._loads = (
+            p._requests * (self._weights[:, None] * state).sum(axis=0)
+        ).tolist()
+        self._storage = (state * p._gb_per_mbps[:, None]).sum(axis=0).tolist()
+        self._cost = self._compute_cost()
+
     def _compute_cost(self) -> float:
         """Cost of the current state from the caches; O(N)."""
         loads = self._loads
         mean_load = sum(loads) / self._N
         if mean_load:
-            worst = 0.0
-            for load in loads:
-                dev = load - mean_load
-                if dev < 0.0:
-                    dev = -dev
-                if dev > worst:
-                    worst = dev
+            worst = max(map(abs, map(sub, loads, repeat(mean_load))))
             imbalance = worst / mean_load
         else:
             imbalance = 0.0
@@ -520,44 +710,54 @@ class _IncrementalScalableState:
 
     def _set(self, video: int, server: int, value: float) -> None:
         """Write one matrix entry and update every cache; O(N) worst case."""
-        column = self._cols[server]
+        cols = self._cols
+        column = cols[server]
         old = column[video]
         column[video] = value
         self._state[video, server] = value
-        if (old > 0.0) != (value > 0.0):
-            if value > 0.0:
+        present = value > 0.0
+        if present != (old > 0.0):
+            if present:
                 insort(self._holders[server], video)
+                insort(self._sites[video], server)
             else:
                 self._holders[server].remove(video)
-        c_old = self._counts[video]
-        rs_old = self._row_sums[video]
-        q_old = self._quality[video]
+                self._sites[video].remove(server)
+        top = self._top
+        raisable = 0.0 < value < top
+        if raisable != (0.0 < old < top):
+            if raisable:
+                insort(self._raisable[server], video)
+            else:
+                self._raisable[server].remove(video)
+        counts, row_sums, quality = self._counts, self._row_sums, self._quality
+        c_old = counts[video]
+        rs_old = row_sums[video]
+        q_old = quality[video]
         self._log.append((video, server, old, c_old, rs_old, q_old))
 
-        c_new = c_old + ((value > 0.0) - (old > 0.0))
-        rs_new = rs_old + (value - old)
+        change = value - old
+        c_new = c_old + (present - (old > 0.0))
+        rs_new = rs_old + change
         q_new = rs_new / c_new
-        self._counts[video] = c_new
-        self._row_sums[video] = rs_new
-        self._quality[video] = q_new
+        counts[video] = c_new
+        row_sums[video] = rs_new
+        quality[video] = q_new
         self._quality_sum += q_new - q_old
         self._total_replicas += c_new - c_old
-        self._storage[server] += self._gb_l[video] * (value - old)
+        self._storage[server] += self._gb_l[video] * change
 
         scaled = self._R * self._probs_l[video]
         loads = self._loads
         if c_new == c_old:
-            loads[server] += scaled * (value - old) / c_old
+            loads[server] += scaled * change / c_old
         else:
             # Replica-count change redistributes the video's weight across
-            # its whole row.
+            # the servers holding it.
             inv_new = 1.0 / c_new
             inv_old = 1.0 / c_old
-            cols = self._cols
-            for k in range(self._N):
-                if k == server:
-                    loads[k] += scaled * (value * inv_new - old * inv_old)
-                else:
-                    rate_k = cols[k][video]
-                    if rate_k:
-                        loads[k] += scaled * rate_k * (inv_new - inv_old)
+            loads[server] += scaled * (value * inv_new - old * inv_old)
+            step = inv_new - inv_old
+            for k in self._sites[video]:
+                if k != server:
+                    loads[k] += scaled * cols[k][video] * step

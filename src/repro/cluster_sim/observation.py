@@ -50,6 +50,29 @@ def processing_order(table: StreamTable) -> tuple[np.ndarray, np.ndarray]:
     return np.lexsort((np.concatenate((ties, ties + 1)), phase, times)), phase
 
 
+def sample_instants(config, horizon_min: float) -> np.ndarray:
+    """The instants at which *config* samples one run of *horizon_min*
+    minutes: multiples of its ``sample_interval_min`` by repeated
+    addition, like a running clock, up to the horizon (none when the
+    interval is 0).  More than ``max_trace_events`` of them raise
+    ``ValueError``, so a command can refuse the interval before it runs.
+    """
+    interval, cap = config.sample_interval_min, config.max_trace_events
+    if not interval > 0.0:
+        return np.zeros(0)
+    instants = np.cumsum(
+        np.full(int(min(horizon_min / interval, cap)) + 2, float(interval))
+    )
+    instants = instants[instants <= horizon_min]
+    if instants.size > cap:
+        raise ValueError(
+            f"sample_interval_min={interval!r} over a {horizon_min!r}-minute "
+            f"horizon would record more than max_trace_events={cap} "
+            "samples in one run"
+        )
+    return instants
+
+
 def observe_run(
     observer, result, table, soa, admitted, late_rejections, bandwidth_mbps
 ) -> None:
@@ -63,19 +86,7 @@ def observe_run(
     config = observer.config
     horizon = result.horizon_min
     times = soa.times[: soa.num_simulated]
-    interval, cap = config.sample_interval_min, config.max_trace_events
-    instants = np.zeros(0)
-    if interval > 0.0:  # by repeated addition, like a running clock
-        instants = np.cumsum(
-            np.full(int(min(horizon / interval, cap)) + 2, float(interval))
-        )
-        instants = instants[instants <= horizon]
-        if instants.size > cap:
-            raise ValueError(
-                f"sample_interval_min={interval!r} over a {horizon!r}-minute "
-                f"horizon would record more than max_trace_events={cap} "
-                "samples in one run"
-            )
+    instants = sample_instants(config, horizon)
     count = len(table.start)
     order, phase = processing_order(table)
 

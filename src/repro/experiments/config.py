@@ -17,6 +17,7 @@ reconstructed from internal consistency (see DESIGN.md Sec. 3):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .._validation import check_int_in_range, check_positive
 from ..model import ClusterSpec, ReplicationProblem, VideoCollection
@@ -89,10 +90,11 @@ class PaperSetup:
     # Object builders
     # ------------------------------------------------------------------
     def videos(self) -> VideoCollection:
-        return VideoCollection.homogeneous(
-            self.num_videos,
-            bit_rate_mbps=self.bit_rate_mbps,
-            duration_min=self.duration_min,
+        """The ``M`` videos: one shared, immutable collection per
+        ``(num_videos, bit_rate_mbps, duration_min)``, kept outside the
+        setup so that pickling a setup does not carry it."""
+        return _homogeneous_videos(
+            self.num_videos, self.bit_rate_mbps, self.duration_min
         )
 
     def popularity(self, theta: float) -> ZipfPopularity:
@@ -154,3 +156,12 @@ class PaperSetup:
                 r * num_servers / 8 for r in self.arrival_rates_per_min
             ),
         )
+
+
+@lru_cache(maxsize=16, typed=True)
+def _homogeneous_videos(
+    num_videos: int, bit_rate_mbps: float, duration_min: float
+) -> VideoCollection:
+    return VideoCollection.homogeneous(
+        num_videos, bit_rate_mbps=bit_rate_mbps, duration_min=duration_min
+    )

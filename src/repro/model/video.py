@@ -72,8 +72,13 @@ class VideoCollection(Sequence[Video]):
     """An immutable, id-ordered collection of videos.
 
     Provides vectorized views (bit-rate array, storage array) used by the
-    constraint checks and by the simulator.
+    constraint checks and by the simulator.  Each view is built on first
+    access and then shared, read-only.  The views live in slots, so the
+    collection's ``__dict__`` (its :func:`repro.runtime.content_key`
+    form) holds only the videos, and a pickle carries only the videos.
     """
+
+    __slots__ = ("__dict__", "_bit_rates", "_durations", "_storage")
 
     def __init__(self, videos: Iterable[Video]) -> None:
         videos = tuple(videos)
@@ -86,6 +91,9 @@ class VideoCollection(Sequence[Video]):
                 f"got ids {ids[:8]}{'...' if len(ids) > 8 else ''}"
             )
         self._videos = videos
+
+    def __reduce__(self):
+        return type(self), (self._videos,)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -128,18 +136,31 @@ class VideoCollection(Sequence[Video]):
 
     @property
     def bit_rates_mbps(self) -> np.ndarray:
-        """Encoding bit rate of each video (Mb/s)."""
-        return np.array([v.bit_rate_mbps for v in self._videos], dtype=np.float64)
+        """Encoding bit rate of each video (Mb/s; read-only)."""
+        return self._view("_bit_rates", "bit_rate_mbps")
 
     @property
     def durations_min(self) -> np.ndarray:
-        """Duration of each video (minutes)."""
-        return np.array([v.duration_min for v in self._videos], dtype=np.float64)
+        """Duration of each video (minutes; read-only)."""
+        return self._view("_durations", "duration_min")
 
     @property
     def storage_gb(self) -> np.ndarray:
-        """Per-replica storage footprint of each video (GB)."""
-        return np.array([v.storage_gb for v in self._videos], dtype=np.float64)
+        """Per-replica storage footprint of each video (GB; read-only)."""
+        return self._view("_storage", "storage_gb")
+
+    def _view(self, slot: str, attribute: str) -> np.ndarray:
+        """The read-only array of every video's *attribute*, built once
+        into *slot*."""
+        try:
+            return getattr(self, slot)
+        except AttributeError:
+            view = np.array(
+                [getattr(v, attribute) for v in self._videos], dtype=np.float64
+            )
+            view.setflags(write=False)
+            setattr(self, slot, view)
+            return view
 
     @property
     def is_single_rate(self) -> bool:
@@ -160,3 +181,4 @@ class VideoCollection(Sequence[Video]):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VideoCollection(num_videos={self.num_videos})"
+

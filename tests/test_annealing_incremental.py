@@ -163,6 +163,73 @@ class TestDeltaCrossCheck:
         )
 
 
+class TestInfeasibleStart:
+    """From a state that breaks a bound, the context voids every move the
+    feasibility check must reject before applying it; it must still fall
+    through exactly when the full path does and keep the same state."""
+
+    @pytest.mark.parametrize("bound", ["storage", "bandwidth"])
+    @pytest.mark.parametrize("num_servers", [5, 8, 16])
+    def test_context_matches_full_path(self, bound, num_servers):
+        sa = serve_sized_problem(num_servers)
+        start = {"storage": violating_start, "bandwidth": bandwidth_violating_start}[
+            bound
+        ](sa)
+        context = sa.make_incremental(start)
+        full_state = start.copy()
+        voided = moved = 0
+        for i in range(400):
+            seed = 31_000 + i
+            neighbor = sa.propose(full_state, np.random.default_rng(seed))
+            delta = context.propose(np.random.default_rng(seed))
+            assert (delta is None) == (neighbor is None)
+            if neighbor is None:
+                voided += sa._violating_servers(full_state).size > 0
+            else:
+                moved += 1
+                # Stay infeasible for 200 proposals, then commit one in four.
+                if i >= 200 and i % 4 == 3:
+                    full_state = neighbor
+                    context.commit()
+                else:
+                    context.rollback()
+            np.testing.assert_array_equal(context.export_state(), full_state)
+        assert voided > 100 and moved > 20
+
+
+class TestRatesBelowTheFloor:
+    """A warm start may hold replicas below the lowest allowed rate; the
+    shed scan must then keep looking past the first lowest-rate replica,
+    as the full path does."""
+
+    def test_context_matches_full_path(self):
+        sa = non_dyadic_problem(8)
+        state = sa.initial_state(np.random.default_rng(0))
+        for video in range(150, 200):  # two replicas below the floor
+            state[video, :] = 0.0
+            state[video, [video % 8, (video + 1) % 8]] = 0.05
+        for video in range(40):  # a second replica at the floor
+            state[video, (video + 1) % 8] = sa.min_rate
+        assert sa._violating_servers(state).size == 0
+        context = sa.make_incremental(state)
+        assert context._lowest is None
+        full_state = state.copy()
+        shed_below = 0
+        for i in range(600):
+            seed = 47_000 + i
+            neighbor = sa.propose(full_state, np.random.default_rng(seed))
+            delta = context.propose(np.random.default_rng(seed))
+            assert (delta is None) == (neighbor is None)
+            if neighbor is not None:
+                shed_below += any(
+                    old == 0.05 for _, _, old, *_ in context._log[1:]
+                )
+                full_state = neighbor
+                context.commit()
+            np.testing.assert_array_equal(context.export_state(), full_state)
+        assert shed_below > 5
+
+
 class TestHolderIndexParity:
     @pytest.mark.parametrize("bound", sorted(BOUNDS))
     @pytest.mark.parametrize("rates", sorted(RATE_SETS))
@@ -247,11 +314,15 @@ class TestMoveSelection:
         self.column = [0.0, 1.5, 0.0, 6.0, 3.0, 0.0, 1.5, 0.0]
         self.holders = [1, 3, 4, 6]
 
+    def choose_move(self, column, holders, rng):
+        raisable = self.sa._raisable(column, holders)
+        return self.sa._choose_move(column, holders, raisable, rng)
+
     def test_add_picks_the_kth_absent_video(self):
         absent = [0, 2, 5, 7]
         for k, video in enumerate(absent):
             rng = _ScriptedRng(1, k)  # move kind 1 = add
-            assert self.sa._choose_move(self.column, self.holders, rng) == (
+            assert self.choose_move(self.column, self.holders, rng) == (
                 video, 1.5,
             )
             assert rng.bounds == [2, len(absent)]
@@ -260,7 +331,7 @@ class TestMoveSelection:
         # Video 3 is at the top rate, so the raisable list is [1, 4, 6].
         for k, (video, value) in enumerate([(1, 3.0), (4, 6.0), (6, 3.0)]):
             rng = _ScriptedRng(0, k)
-            assert self.sa._choose_move(self.column, self.holders, rng) == (
+            assert self.choose_move(self.column, self.holders, rng) == (
                 video, value,
             )
             assert rng.bounds == [2, 3]
@@ -268,10 +339,10 @@ class TestMoveSelection:
     def test_single_move_kind_still_draws_the_kind(self):
         full = [1.5] * 8
         rng = _ScriptedRng(0, 2)
-        assert self.sa._choose_move(full, list(range(8)), rng) == (2, 3.0)
+        assert self.choose_move(full, list(range(8)), rng) == (2, 3.0)
         assert rng.bounds == [1, 8]
         top = [6.0] * 8
-        assert self.sa._choose_move(top, list(range(8)), _ScriptedRng()) is None
+        assert self.choose_move(top, list(range(8)), _ScriptedRng()) is None
 
     def test_shed_lowers_the_lowest_rate_replica_first(self):
         counts = [1] * 8
@@ -346,6 +417,73 @@ def serve_sized_problem(num_servers):
     )
 
 
+NON_DYADIC_N = (5, 8, 9, 16)
+
+
+def non_dyadic_problem(num_servers):
+    """M=200 at rates with no exact binary form, so a rate row sum (and
+    every load) depends on its summation order; room for about twice the
+    lowest-rate catalogue, as in :func:`serve_sized_problem`."""
+    per_server = -(-200 // num_servers)
+    return make_problem(
+        num_videos=200,
+        num_servers=num_servers,
+        storage_gb=2.0 * 0.1 * 0.675 * per_server,
+        bandwidth_mbps=3.0 * 0.1 * 1800.0 / num_servers,
+        rates=(0.1, 0.3, 0.7),
+    )
+
+
+def violating_start(sa):
+    """The lowest-rate start with its first 40 videos added to server 0
+    at the top rate: server 0 breaks its storage bound, as a migrated
+    layout handed to the serving plane's polish can."""
+    state = sa.initial_state(np.random.default_rng(0))
+    state[:40, 0] = sa.max_rate
+    assert sa._violating_servers(state).tolist() == [0]
+    return state
+
+
+def bandwidth_violating_start(sa):
+    """The fewest most popular videos moved onto server 0 alone, at the
+    top rate, that push server 0 past its bandwidth (storage holds)."""
+    for top in range(1, 40):
+        state = sa.initial_state(np.random.default_rng(0))
+        state[:top, :] = 0.0
+        state[:top, 0] = sa.max_rate
+        if sa._violating_servers(state).size:
+            break
+    assert sa._violating_servers(state).tolist() == [0]
+    assert sa.server_loads(state)[0] > sa._bandwidth[0]
+    return state
+
+
+def context_caches(context):
+    """Every cache of an incremental context, floats as raw bytes."""
+    floats = lambda values: np.asarray(values, dtype=np.float64).tobytes()
+    return (
+        context._state.tobytes(),
+        floats(context._cols),
+        context._holders,
+        context._raisable,
+        context._sites,
+        context._counts,
+        floats(context._row_sums),
+        floats(context._quality),
+        context._weights.tobytes(),
+        floats([context._quality_sum, context._cost]),
+        context._total_replicas,
+        floats(context._loads),
+        floats(context._storage),
+    )
+
+
+def assert_fresh(context, sa):
+    """*context* holds bitwise what a new context on its state holds."""
+    fresh = sa.make_incremental(context.export_state())
+    assert context_caches(context) == context_caches(fresh)
+
+
 PROBLEMS = {
     "zipf": make_problem,
     # Uniform popularity: many moves leave the cost exactly unchanged,
@@ -360,7 +498,25 @@ PROBLEMS = {
         f"serve-N{n}": (lambda n=n: serve_sized_problem(n))
         for n in SERVE_SIZED_N
     },
+    **{
+        f"non-dyadic-N{n}": (lambda n=n: non_dyadic_problem(n))
+        for n in NON_DYADIC_N
+    },
 }
+
+
+def walk_states(sa, start, seed, steps=64):
+    """The start and every state an accept-all walk from it commits,
+    with the walk's exact costs from the context."""
+    context = sa.make_incremental(start)
+    rng = np.random.default_rng(seed)
+    states = [context.export_state()]
+    context.begin_walk()
+    for _ in range(steps):
+        if context.propose(rng) is not None:
+            context.commit()
+            states.append(context.export_state())
+    return states, context.end_walk(), context
 
 
 class TestCalibrationParity:
@@ -373,24 +529,104 @@ class TestCalibrationParity:
             full = annealer._calibrate_schedule(
                 sa, state, np.random.default_rng(seed)
             ).temperature(0)
+            context = sa.make_incremental(state)
             incremental = annealer._calibrate_schedule(
-                sa, state, np.random.default_rng(seed), incremental=True
+                sa, state, np.random.default_rng(seed), context=context
             ).temperature(0)
             assert incremental == full
+            # The walk is undone: the loop starts from a pristine context.
+            np.testing.assert_array_equal(context.export_state(), state)
+            assert_fresh(context, sa)
 
-    @pytest.mark.parametrize("num_servers", SERVE_SIZED_N)
-    def test_stacked_cost_equals_each_cost(self, num_servers):
-        sa = serve_sized_problem(num_servers)
+    @pytest.mark.parametrize("num_servers", NON_DYADIC_N)
+    @pytest.mark.parametrize("sized", ["serve", "non-dyadic"])
+    def test_violating_warm_start_walk(self, sized, num_servers):
+        sa = {"serve": serve_sized_problem, "non-dyadic": non_dyadic_problem}[
+            sized
+        ](num_servers)
+        state = violating_start(sa)
+        annealer = SimulatedAnnealer(steps_per_level=10, max_levels=2)
+        for seed in range(4):
+            full = annealer._calibrate_schedule(
+                sa, state, np.random.default_rng(seed)
+            ).temperature(0)
+            context = sa.make_incremental(state)
+            incremental = annealer._calibrate_schedule(
+                sa, state, np.random.default_rng(seed), context=context
+            ).temperature(0)
+            assert incremental == full
+            np.testing.assert_array_equal(context.export_state(), state)
+            assert_fresh(context, sa)
+
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_walk_costs_equal_each_cost(self, name):
+        sa = PROBLEMS[name]()
+        start = sa.initial_state(np.random.default_rng(0))
+        for seed in range(3):
+            states, costs, context = walk_states(sa, start, seed)
+            assert len(states) > 1
+            assert costs.tolist() == [sa.cost(state) for state in states]
+            assert_fresh(context, sa)
+
+    @pytest.mark.parametrize("num_servers", [1, 2])
+    def test_walk_costs_on_few_servers(self, num_servers):
+        # One server column is summed pairwise, not in video order.
+        sa = make_problem(
+            num_videos=150, num_servers=num_servers, storage_gb=900.0,
+            bandwidth_mbps=1e5, rates=(0.1, 0.3, 0.7),
+        )
+        start = sa.initial_state(np.random.default_rng(0))
+        states, costs, _ = walk_states(sa, start, 4, steps=40)
+        assert len(states) > 10
+        assert costs.tolist() == [sa.cost(state) for state in states]
+
+    def test_walk_without_commits(self):
+        sa = non_dyadic_problem(8)
         context = sa.make_incremental(sa.initial_state(np.random.default_rng(0)))
-        rng = np.random.default_rng(num_servers)
-        states = [context.export_state()]
-        while len(states) < 40:
+        context.begin_walk()
+        costs = context.end_walk()
+        assert costs.tolist() == [sa.cost(context.export_state())]
+        assert_fresh(context, sa)
+
+
+class TestResyncIsARebuild:
+    """``resync`` recomputes only the videos of committed moves and
+    skips when none was committed; the caches must still equal a full
+    rebuild bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name", ["zipf", "serve-N9", "non-dyadic-N5", "non-dyadic-N16"]
+    )
+    def test_resync_equals_a_new_context(self, name):
+        sa = PROBLEMS[name]()
+        context = sa.make_incremental(sa.initial_state(np.random.default_rng(0)))
+        rng = np.random.default_rng(17)
+        for level in range(12):
+            for i in range(30):
+                if context.propose(rng) is None:
+                    continue
+                # Level 3 commits nothing: its resync must be a no-op.
+                if level != 3 and i % 3:
+                    context.commit()
+                else:
+                    context.rollback()
+            context.resync()
+            assert_fresh(context, sa)
+
+    def test_resync_after_a_walk_on_a_violating_start(self):
+        sa = non_dyadic_problem(9)
+        context = sa.make_incremental(violating_start(sa))
+        rng = np.random.default_rng(2)
+        context.begin_walk()
+        for _ in range(64):
             if context.propose(rng) is not None:
                 context.commit()
-                states.append(context.export_state())
-        stacked = sa.cost(np.stack(states))
-        assert stacked.shape == (len(states),)
-        assert stacked.tolist() == [sa.cost(state) for state in states]
+        context.end_walk()
+        for _ in range(200):
+            if context.propose(rng) is not None:
+                context.commit()
+        context.resync()
+        assert_fresh(context, sa)
 
 
 class _PassThrough:
@@ -463,8 +699,8 @@ class TestDrawStreamBitIdentity:
 
     @pytest.mark.parametrize("limit", [10, 64, 300])
     def test_generator_synced_when_the_run_raises(self, limit):
-        # Each context counts its own proposals: 10 and 64 raise in the
-        # T0 walk, 300 in the Metropolis loop.
+        # The walk and the loop share one context: 10 and 64 raise in
+        # the T0 walk, 300 in the Metropolis loop.
         problem = _RaisingProblem(serve_sized_problem(8).problem, limit)
         annealer = SimulatedAnnealer(steps_per_level=60, max_levels=12)
         rng = np.random.default_rng(3)

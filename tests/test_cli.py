@@ -111,3 +111,27 @@ class TestExecution:
         assert "no trials through the runner" not in through_part
         assert (tmp_path / "outside.txt").read_text() == "OUTSIDE\n"
         assert (tmp_path / "through.txt").read_text() == "THROUGH\n"
+
+
+class TestSampleBoundIsAUsageError:
+    """``python -m repro pipeline`` refuses a sample interval that would
+    overflow one run's samples while building, before anything runs."""
+
+    @pytest.mark.parametrize(
+        "observe", [[], ["--observe"], ["--trace-out", "t.jsonl"]]
+    )
+    def test_overflowing_interval_exits_2(self, observe, tmp_path, monkeypatch, capsys):
+        from repro.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        argv = ["pipeline", "--quick", *observe, "--sample-interval", "1e-9"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1, captured.err
+        assert "max_trace_events" in errors[0]
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "t.jsonl").exists()

@@ -59,3 +59,21 @@ class TestBuilders:
         # Arrival sweep scaled by 4/8.
         assert small.arrival_rates_per_min[-1] == pytest.approx(22.5)
         assert small.saturation_rate_per_min == pytest.approx(20.0)
+
+
+class TestSharedVideos:
+    def test_one_collection_per_video_parameters(self):
+        assert PaperSetup().videos() is PaperSetup().quick().videos()
+        assert PaperSetup().videos() is not PaperSetup().scaled_down().videos()
+        assert PaperSetup(bit_rate_mbps=6.0).videos().bit_rates_mbps[0] == 6.0
+
+    def test_setup_pickle_and_key_unchanged(self):
+        import pickle
+
+        from repro.runtime.cache import canonical
+
+        setup = PaperSetup(num_videos=37)
+        blob, form = pickle.dumps(setup), canonical(setup)
+        setup.videos().durations_min
+        assert pickle.dumps(setup) == blob
+        assert canonical(setup) == form

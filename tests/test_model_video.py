@@ -75,3 +75,38 @@ class TestVideoCollection:
     def test_with_bit_rates_shape_check(self):
         with pytest.raises(ValueError):
             VideoCollection.homogeneous(3).with_bit_rates(np.array([2.0]))
+
+
+class TestSharedViews:
+    """The vectorized views are built once, read-only, and stay out of
+    the collection's ``__dict__`` and pickle."""
+
+    def test_views_are_shared_and_read_only(self):
+        videos = VideoCollection(
+            Video(i, 4.0 + i, 60.0 + 10 * i) for i in range(4)
+        )
+        for name in ("bit_rates_mbps", "durations_min", "storage_gb"):
+            view = getattr(videos, name)
+            assert getattr(videos, name) is view
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0] = 1.0
+        np.testing.assert_array_equal(videos.durations_min, [60, 70, 80, 90])
+        np.testing.assert_allclose(
+            videos.storage_gb, [storage_gb(4.0 + i, 60.0 + 10 * i) for i in range(4)]
+        )
+
+    def test_views_leave_content_key_and_pickle_alone(self):
+        import pickle
+
+        from repro.runtime import content_key
+
+        videos = VideoCollection.homogeneous(6)
+        key, blob = content_key(videos), pickle.dumps(videos)
+        videos.durations_min, videos.storage_gb, videos.bit_rates_mbps
+        assert list(vars(videos)) == ["_videos"]
+        assert content_key(videos) == key
+        assert pickle.dumps(videos) == blob
+        copy = pickle.loads(blob)
+        assert list(copy) == list(videos)
+        np.testing.assert_array_equal(copy.durations_min, videos.durations_min)
